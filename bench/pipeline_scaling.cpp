@@ -19,12 +19,9 @@
 //     populated cache) suite runs. A warm run skips replay, analysis,
 //     translation validation, codelint, and differential testing per
 //     program, leaving only compilation + hashing + cache I/O — this
-//     speedup is machine-independent. The warm path is priced twice,
-//     interleaved: once against the full two-file cache (binary image
-//     hit) and once against a JSON-only twin of the same cache (parse
-//     fallback), so warm_bin_ms vs warm_parse_ms isolates what the
-//     zero-copy image buys. A heap-allocation count for one warm run
-//     rides along (this TU arms the bench_common.h counting hook).
+//     speedup is machine-independent. A heap-allocation count for one
+//     warm run rides along (this TU arms the bench_common.h counting
+//     hook).
 //
 // Plus two overhead prices that must stay small: the §4.7 guard
 // bookkeeping (≤2%) and the target-side codelint layer (≤10% of a full
@@ -172,9 +169,7 @@ int main() {
   // --- Cold vs warm certificate cache, at the widest setting.
   std::string CacheDir =
       (std::filesystem::temp_directory_path() / "relc-bench-cache").string();
-  std::string JsonCacheDir = CacheDir + "-json";
   std::filesystem::remove_all(CacheDir);
-  std::filesystem::remove_all(JsonCacheDir);
   pipeline::PipelineOptions Cached;
   Cached.Jobs = Widths.back();
   Cached.CacheDir = CacheDir;
@@ -189,38 +184,19 @@ int main() {
   }
   Stats Cold = stats(ColdSamples);
 
-  // The final cold rep left a fully populated two-file cache. Build a
-  // JSON-only twin of it (same entries, binary siblings dropped) so the
-  // warm workload can be priced through each face: image hit vs parse
-  // fallback. Warm runs never write back, so both twins stay as built.
-  std::filesystem::create_directories(JsonCacheDir);
-  for (const std::filesystem::directory_entry &E :
-       std::filesystem::directory_iterator(CacheDir))
-    if (E.path().string().size() < 9 ||
-        E.path().string().substr(E.path().string().size() - 9) != ".cert.bin")
-      std::filesystem::copy_file(E.path(),
-                                 JsonCacheDir + "/" +
-                                     E.path().filename().string());
-  pipeline::PipelineOptions JsonCached = Cached;
-  JsonCached.CacheDir = JsonCacheDir;
-
-  runOnce(Cached);
-  runOnce(JsonCached); // Warmup both.
-  std::vector<double> WarmBinSamples, WarmParseSamples;
-  for (unsigned I = 0; I < Reps; ++I) {
+  // The final cold rep left a fully populated cache; warm runs never
+  // write back, so it stays as built.
+  runOnce(Cached); // Warmup.
+  std::vector<double> WarmBinSamples;
+  for (unsigned I = 0; I < Reps; ++I)
     WarmBinSamples.push_back(runOnce(Cached));
-    WarmParseSamples.push_back(runOnce(JsonCached));
-  }
   Stats WarmBin = stats(WarmBinSamples);
-  Stats WarmParse = stats(WarmParseSamples);
 
-  // Heap allocations for one whole warm suite run through each face
-  // (this TU defines RELC_BENCH_COUNT_ALLOCS, so global operator new
-  // feeds allocCount() binary-wide).
+  // Heap allocations for one whole warm suite run (this TU defines
+  // RELC_BENCH_COUNT_ALLOCS, so global operator new feeds allocCount()
+  // binary-wide).
   uint64_t AllocWarm = allocationsDuring([&] { runOnce(Cached); });
-  uint64_t AllocWarmParse = allocationsDuring([&] { runOnce(JsonCached); });
   std::filesystem::remove_all(CacheDir);
-  std::filesystem::remove_all(JsonCacheDir);
 
   std::printf("\n  cache cold        : %7.2f ms median (certify + store)\n",
               Cold.Median);
@@ -229,10 +205,6 @@ int main() {
               WarmBin.Median, WarmBin.Mean, WarmBin.Ci95,
               Cold.Median / WarmBin.Median,
               (unsigned long long)AllocWarm);
-  std::printf("  cache warm (json) : %7.2f ms median (mean %.2f +/- %.2f)  "
-              "parse fallback  allocs: %llu\n",
-              WarmParse.Median, WarmParse.Mean, WarmParse.Ci95,
-              (unsigned long long)AllocWarmParse);
 
   // All timing fields are medians of interleaved (or repeated) samples;
   // keys stay sorted so diffs of committed files read cleanly.
@@ -240,7 +212,6 @@ int main() {
   char Buf[160];
   J << "{\n";
   J << "  \"alloc_count_warm\": " << AllocWarm << ",\n";
-  J << "  \"alloc_count_warm_parse\": " << AllocWarmParse << ",\n";
   std::snprintf(Buf, sizeof(Buf), "  \"cache_cold_ms\": %.3f,\n", Cold.Median);
   J << Buf;
   std::snprintf(Buf, sizeof(Buf), "  \"cache_warm_ms\": %.3f,\n",
@@ -272,11 +243,8 @@ int main() {
   std::snprintf(Buf, sizeof(Buf), "  \"speedup_j8_vs_j1\": %.3f,\n",
                 ByWidth.front().Median / ByWidth.back().Median);
   J << Buf;
-  std::snprintf(Buf, sizeof(Buf), "  \"warm_bin_ms\": %.3f,\n",
+  std::snprintf(Buf, sizeof(Buf), "  \"warm_bin_ms\": %.3f\n",
                 WarmBin.Median);
-  J << Buf;
-  std::snprintf(Buf, sizeof(Buf), "  \"warm_parse_ms\": %.3f\n",
-                WarmParse.Median);
   J << Buf;
   J << "}\n";
   std::printf("\nwrote BENCH_pipeline.json\n");

@@ -276,10 +276,12 @@ std::optional<Certificate> BinReader::parse(std::string_view Image,
                     "trailing integrity hash does not cover the image");
 
   uint32_t SchemaV = U32At(12);
-  if (SchemaV > kSchemaVersion)
+  if (SchemaV != kSchemaVersion)
     return failWith(Err, Reject::UnknownSchemaVersion,
                     "schema_version " + std::to_string(SchemaV) +
-                        " is from a future toolchain");
+                        (SchemaV > kSchemaVersion
+                             ? " is from a future toolchain"
+                             : " is from an older toolchain"));
 
   uint64_t RecOff = U64At(48), RecLen = U64At(56);
   uint64_t StrOff = U64At(64), StrLen = U64At(72);

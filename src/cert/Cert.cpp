@@ -88,8 +88,6 @@ const char *rejectName(Reject R) {
     return "malformed-certificate";
   case Reject::UnknownSchemaVersion:
     return "unknown-schema-version";
-  case Reject::UnverifiableV1:
-    return "unverifiable-v1";
   case Reject::FunctionMismatch:
     return "function-mismatch";
   case Reject::StaleModel:

@@ -15,18 +15,16 @@
 // verdict is about.
 //
 // This header is the schema. `cert::Writer` (Writer.h) serializes it
-// canonically, `cert::Reader` (Reader.h) parses it back (including the
-// legacy v1 files the TV driver used to assemble by hand), and
+// canonically, `cert::Reader` (Reader.h) parses it back, and
 // `cert::Rederive` (Rederive.h) is the independent checker that re-derives
 // every hash from the model and the command tree without trusting the TV
 // driver — the de Bruijn move: a small checker audits a large searcher.
 //
 // Schema history:
 //   v1  "format": "relc-tv-certificate-v1" — hashes and traces, but no
-//       content hashes, no producer identity, and no loop witness; such
-//       files are readable (Reader compatibility path) but cannot be
-//       independently re-checked, so relc-check rejects them as
-//       `unverifiable-v1`.
+//       content hashes, no producer identity, and no loop witness. No
+//       reader accepts it: a v1 file has no "schema_version" and is
+//       `malformed-certificate`.
 //   v2  "schema_version": 2 — adds producer identity, model/fnspec/code
 //       content hashes (support/Hash FNV-1a over the canonical
 //       renderings, the same key the certificate cache uses), per-loop
@@ -67,7 +65,8 @@ struct Report;
 
 namespace cert {
 
-/// The schema version this toolchain writes.
+/// The schema version this toolchain writes, and the only one either
+/// reader (cert::Reader, cert::BinReader) accepts.
 constexpr unsigned kSchemaVersion = 2;
 
 /// Producer identity stamped into every emitted certificate.
@@ -172,7 +171,7 @@ struct Certificate {
   unsigned SchemaVersion = kSchemaVersion;
   std::string Producer = kProducer;
   std::string Function; ///< Target function name.
-  ContentKey Key;       ///< Zero (unusable) for v1 files.
+  ContentKey Key;       ///< Content hashes the verdict is about.
   std::string Verdict;  ///< "proved" / "refuted" / "inconclusive".
   std::string Reason;   ///< Refutation / inconclusiveness explanation.
   uint64_t NumTerms = 0; ///< Informational: the producer's graph size
@@ -196,9 +195,7 @@ struct Certificate {
 enum class Reject : uint8_t {
   MissingCertificate,   ///< No certificate file for the program.
   MalformedCertificate, ///< Not parseable as any known schema.
-  UnknownSchemaVersion, ///< schema_version from a future toolchain.
-  UnverifiableV1,       ///< v1 file: readable, but carries no content
-                        ///< hashes or witness — cannot be re-checked.
+  UnknownSchemaVersion, ///< schema_version other than kSchemaVersion.
   FunctionMismatch,     ///< Certificate names a different function.
   StaleModel,           ///< Model hash differs from the suite's model.
   StaleSpec,            ///< Fnspec hash differs.

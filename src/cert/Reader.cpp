@@ -1,4 +1,4 @@
-//===- cert/Reader.cpp - Certificate parsing (v2 + v1 compat) --------------===//
+//===- cert/Reader.cpp - Certificate parsing ------------------------------===//
 //
 // Part of relc, a C++ reproduction of "Relational Compilation for
 // Performance-Critical Applications" (PLDI 2022).
@@ -259,7 +259,7 @@ std::vector<std::string> strListField(const JValue &Obj,
   return Out;
 }
 
-void parseTraces(const JValue &Root, Certificate &C, bool Witness) {
+void parseTraces(const JValue &Root, Certificate &C) {
   for (const JValue &L : arrField(Root, "loops")) {
     if (L.K != JValue::Kind::Object)
       bad("loop entry is not an object");
@@ -269,15 +269,13 @@ void parseTraces(const JValue &Root, Certificate &C, bool Witness) {
     R.FoldHash = hashField(L, "fold_hash");
     R.Carried = unsigned(numField(L, "carried"));
     R.Regions = unsigned(numField(L, "regions"));
-    if (Witness) {
-      R.Path = strField(L, "path");
-      const JValue &W = field(L, "witness");
-      if (W.K != JValue::Kind::Object)
-        bad("loop witness is not an object");
-      R.WitnessLocals = strListField(W, "locals");
-      R.WitnessRegions = strListField(W, "regions");
-      R.TargetPath = strField(W, "target_path");
-    }
+    R.Path = strField(L, "path");
+    const JValue &W = field(L, "witness");
+    if (W.K != JValue::Kind::Object)
+      bad("loop witness is not an object");
+    R.WitnessLocals = strListField(W, "locals");
+    R.WitnessRegions = strListField(W, "regions");
+    R.TargetPath = strField(W, "target_path");
     C.Loops.push_back(std::move(R));
   }
   for (const JValue &B : arrField(Root, "bindings")) {
@@ -320,26 +318,16 @@ std::optional<Certificate> Reader::parse(const std::string &Text,
   try {
     Certificate C;
     auto VerIt = Root->Obj.find("schema_version");
-    if (VerIt == Root->Obj.end()) {
-      // Legacy v1: identified by its "format" tag.
-      if (Root->Obj.count("format") == 0 ||
-          strField(*Root, "format") != "relc-tv-certificate-v1")
-        bad("neither 'schema_version' nor a known 'format' tag");
-      C.SchemaVersion = 1;
-      C.Producer = kProducer; // v1 had no producer field.
-      C.Function = strField(*Root, "function");
-      C.Verdict = strField(*Root, "verdict");
-      C.Reason = strField(*Root, "reason");
-      C.NumTerms = numField(*Root, "num_terms");
-      parseTraces(*Root, C, /*Witness=*/false);
-      return C;
-    }
+    if (VerIt == Root->Obj.end())
+      bad("no 'schema_version'");
     if (VerIt->second.K != JValue::Kind::Number)
       bad("'schema_version' is not a number");
     if (VerIt->second.Num != kSchemaVersion)
       return Fail(Reject::UnknownSchemaVersion,
                   "schema_version " + std::to_string(VerIt->second.Num) +
-                      " is newer than this checker (knows " +
+                      (VerIt->second.Num > kSchemaVersion ? " is newer"
+                                                          : " is older") +
+                      " than this checker (knows " +
                       std::to_string(kSchemaVersion) + ")");
     C.SchemaVersion = unsigned(VerIt->second.Num);
     C.Producer = strField(*Root, "producer");
@@ -350,7 +338,7 @@ std::optional<Certificate> Reader::parse(const std::string &Text,
     C.Verdict = strField(*Root, "verdict");
     C.Reason = strField(*Root, "reason");
     C.NumTerms = numField(*Root, "num_terms");
-    parseTraces(*Root, C, /*Witness=*/true);
+    parseTraces(*Root, C);
     // Optional codelint section (v2 extension; absence is not an error).
     auto ClIt = Root->Obj.find("codelint");
     if (ClIt != Root->Obj.end()) {

@@ -1,24 +1,21 @@
-//===- cert/Reader.h - Certificate parsing (v2 + v1 compat) -----*- C++ -*-===//
+//===- cert/Reader.h - Certificate parsing ----------------------*- C++ -*-===//
 //
 // Part of relc, a C++ reproduction of "Relational Compilation for
 // Performance-Critical Applications" (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 //
-// Parses certificates back into the typed `cert::Certificate`. Two
-// accepted inputs:
+// Parses certificates back into the typed `cert::Certificate`. The one
+// accepted input is a file with "schema_version": kSchemaVersion, such as
+// the canonical Writer output. Parsing is a real (minimal,
+// recursive-descent) JSON parse, not a byte comparison, so hand-edited or
+// re-serialized files load too.
 //
-//   - v2 files ("schema_version": 2), the canonical Writer output — but
-//     parsing is a real (minimal, recursive-descent) JSON parse, not a
-//     byte comparison, so hand-edited or re-serialized files load too;
-//   - legacy v1 files ("format": "relc-tv-certificate-v1"), which the TV
-//     driver used to assemble by hand: readable for diffing and display,
-//     but carrying no content hashes or witnesses (Key stays zero and the
-//     checker rejects them as unverifiable-v1).
-//
-// A "schema_version" above kSchemaVersion is *not* malformed — it is a
-// file from a future toolchain, reported distinctly (UnknownSchemaVersion)
-// so operators can tell "upgrade relc-check" from "corrupt artifact".
+// Any other "schema_version", older or newer, is *not* malformed: it is
+// reported distinctly (UnknownSchemaVersion), as cert::BinReader does for
+// the binary face, so operators can tell "wrong relc-check" from "corrupt
+// artifact". A file with no "schema_version" at all, such as the legacy
+// v1 format, is MalformedCertificate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +39,7 @@ struct ReadError {
 
 class Reader {
 public:
-  /// Parses \p Text as a v2 or v1 certificate.
+  /// Parses \p Text as a certificate of schema kSchemaVersion.
   static std::optional<Certificate> parse(const std::string &Text,
                                           ReadError *Err = nullptr);
 

@@ -1272,11 +1272,6 @@ private:
 CheckResult Rederive::check(const Certificate &C, const ir::SourceFn &Model,
                             const EntryFacts &Hints, const sep::FnSpec &Spec,
                             const bedrock::Function &Code) {
-  if (C.SchemaVersion == 1)
-    return CheckResult::reject(
-        Reject::UnverifiableV1,
-        "v1 certificates carry no content hashes or loop witnesses and "
-        "cannot be independently re-checked");
   if (C.SchemaVersion != kSchemaVersion)
     return CheckResult::reject(Reject::UnknownSchemaVersion,
                                "schema_version " +

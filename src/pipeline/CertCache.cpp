@@ -9,14 +9,11 @@
 
 #include "support/Fault.h"
 #include "support/Hash.h"
-#include "support/StringExtras.h"
 
 #include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string_view>
 #include <thread>
 
@@ -31,36 +28,8 @@ namespace pipeline {
 
 using hash::fnv1a64;
 using hash::hex16;
-using hash::parseHex;
 
 namespace {
-
-constexpr const char *FormatTag = "relc-cert-cache-v1";
-
-/// The canonical payload string the integrity hash covers: every field in
-/// a fixed order, length-prefixed so no two payloads collide structurally.
-std::string payloadString(const CertKey &Key, const CertEntry &E) {
-  auto Field = [](const std::string &S) {
-    return std::to_string(S.size()) + ":" + S + ";";
-  };
-  std::string P = Field(FormatTag);
-  P += Field(Key.fileStem());
-  P += Field(E.Program);
-  P += Field(hex16(E.OptsHash));
-  P += Field(E.ReplayOk ? "1" : "0");
-  P += Field(E.AnalysisOk ? "1" : "0");
-  P += Field(std::to_string(E.AnalysisWarnings));
-  P += Field(E.AnalysisDiags);
-  P += Field(E.TvRan ? "1" : "0");
-  P += Field(E.TvVerdict);
-  P += Field(std::to_string(E.TvLoops));
-  P += Field(std::to_string(E.TvTerms));
-  P += Field(E.TvCertificate);
-  P += Field(E.DifferentialOk ? "1" : "0");
-  P += Field(E.CodelintRan ? "1" : "0");
-  P += Field(E.CodelintVerdict);
-  return P;
-}
 
 /// Leading magic of the binary cache image. Distinct from the certificate
 /// image magic (cert/Binary.h "RELCCERT"): a cache entry *contains* a
@@ -173,10 +142,6 @@ std::string CertKey::fileStem() const {
   return hex16(ModelHash) + "-" + hex16(SpecHash) + "-" + hex16(CodeHash);
 }
 
-std::string CertCache::pathFor(const CertKey &Key) const {
-  return Dir + "/" + Key.fileStem() + ".cert.json";
-}
-
 std::string CertCache::binPathFor(const CertKey &Key) const {
   return Dir + "/" + Key.fileStem() + ".cert.bin";
 }
@@ -258,175 +223,6 @@ std::optional<CertEntry> CertCache::deserializeBin(const std::string &Image,
   return E;
 }
 
-std::string CertCache::serialize(const CertKey &Key, const CertEntry &E) {
-  // Keys sorted, one per line: byte-stable and diffable. The integrity
-  // hash covers the canonical payload (which includes the key), so a
-  // flipped bit anywhere — including in the hashes themselves — is caught.
-  uint64_t Integrity = fnv1a64(payloadString(Key, E));
-  std::string J = "{\n";
-  J += "  \"analysis_diags\": \"" + jsonEscape(E.AnalysisDiags) + "\",\n";
-  J += "  \"analysis_ok\": " + std::string(E.AnalysisOk ? "true" : "false") +
-       ",\n";
-  J += "  \"analysis_warnings\": " + std::to_string(E.AnalysisWarnings) +
-       ",\n";
-  J += "  \"code_hash\": \"" + hex16(Key.CodeHash) + "\",\n";
-  J += "  \"codelint_ran\": " +
-       std::string(E.CodelintRan ? "true" : "false") + ",\n";
-  J += "  \"codelint_verdict\": \"" + jsonEscape(E.CodelintVerdict) + "\",\n";
-  J += "  \"differential_ok\": " +
-       std::string(E.DifferentialOk ? "true" : "false") + ",\n";
-  J += "  \"format\": \"" + std::string(FormatTag) + "\",\n";
-  J += "  \"integrity\": \"" + hex16(Integrity) + "\",\n";
-  J += "  \"model_hash\": \"" + hex16(Key.ModelHash) + "\",\n";
-  J += "  \"opts_hash\": \"" + hex16(E.OptsHash) + "\",\n";
-  J += "  \"program\": \"" + jsonEscape(E.Program) + "\",\n";
-  J += "  \"replay_ok\": " + std::string(E.ReplayOk ? "true" : "false") +
-       ",\n";
-  J += "  \"spec_hash\": \"" + hex16(Key.SpecHash) + "\",\n";
-  J += "  \"tv_certificate\": \"" + jsonEscape(E.TvCertificate) + "\",\n";
-  J += "  \"tv_loops\": " + std::to_string(E.TvLoops) + ",\n";
-  J += "  \"tv_ran\": " + std::string(E.TvRan ? "true" : "false") + ",\n";
-  J += "  \"tv_terms\": " + std::to_string(E.TvTerms) + ",\n";
-  J += "  \"tv_verdict\": \"" + jsonEscape(E.TvVerdict) + "\"\n";
-  J += "}\n";
-  return J;
-}
-
-namespace {
-
-/// Line-oriented parse of the exact shape serialize() writes: each field
-/// on its own '  "name": value' line. Returns false on any deviation —
-/// strictness is the point (anything unexpected means "re-derive").
-bool parseFields(const std::string &Text,
-                 std::map<std::string, std::string> *Out) {
-  std::istringstream In(Text);
-  std::string Line;
-  bool First = true, Closed = false;
-  while (std::getline(In, Line)) {
-    if (First) {
-      if (Line != "{")
-        return false;
-      First = false;
-      continue;
-    }
-    if (Line == "}") {
-      Closed = true;
-      continue;
-    }
-    if (Closed || First)
-      return false;
-    size_t NameStart = Line.find('"');
-    if (NameStart == std::string::npos)
-      return false;
-    size_t NameEnd = Line.find('"', NameStart + 1);
-    if (NameEnd == std::string::npos)
-      return false;
-    std::string Name = Line.substr(NameStart + 1, NameEnd - NameStart - 1);
-    size_t Colon = Line.find(':', NameEnd);
-    if (Colon == std::string::npos)
-      return false;
-    std::string Value = Line.substr(Colon + 1);
-    // Trim surrounding spaces and the trailing comma.
-    while (!Value.empty() && (Value.front() == ' '))
-      Value.erase(Value.begin());
-    while (!Value.empty() && (Value.back() == ',' || Value.back() == ' '))
-      Value.pop_back();
-    if (!Out->emplace(Name, Value).second)
-      return false; // Duplicate field.
-  }
-  return Closed && !First;
-}
-
-bool getString(const std::map<std::string, std::string> &F,
-               const std::string &Name, std::string *Out) {
-  auto It = F.find(Name);
-  if (It == F.end())
-    return false;
-  const std::string &V = It->second;
-  if (V.size() < 2 || V.front() != '"' || V.back() != '"')
-    return false;
-  return jsonUnescape(V.substr(1, V.size() - 2), Out);
-}
-
-bool getBool(const std::map<std::string, std::string> &F,
-             const std::string &Name, bool *Out) {
-  auto It = F.find(Name);
-  if (It == F.end())
-    return false;
-  if (It->second == "true")
-    *Out = true;
-  else if (It->second == "false")
-    *Out = false;
-  else
-    return false;
-  return true;
-}
-
-bool getU64(const std::map<std::string, std::string> &F,
-            const std::string &Name, uint64_t *Out) {
-  auto It = F.find(Name);
-  if (It == F.end() || It->second.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : It->second) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + uint64_t(C - '0');
-  }
-  *Out = V;
-  return true;
-}
-
-bool getHex(const std::map<std::string, std::string> &F,
-            const std::string &Name, uint64_t *Out) {
-  std::string S;
-  if (!getString(F, Name, &S))
-    return false;
-  return parseHex(S, Out);
-}
-
-} // namespace
-
-std::optional<CertEntry> CertCache::deserialize(const std::string &Text,
-                                                CertKey *KeyOut) {
-  std::map<std::string, std::string> F;
-  if (!parseFields(Text, &F))
-    return std::nullopt;
-
-  std::string Format;
-  if (!getString(F, "format", &Format) || Format != FormatTag)
-    return std::nullopt;
-
-  CertKey Key;
-  CertEntry E;
-  uint64_t Integrity = 0;
-  if (!getHex(F, "model_hash", &Key.ModelHash) ||
-      !getHex(F, "spec_hash", &Key.SpecHash) ||
-      !getHex(F, "code_hash", &Key.CodeHash) ||
-      !getHex(F, "opts_hash", &E.OptsHash) ||
-      !getHex(F, "integrity", &Integrity) ||
-      !getString(F, "program", &E.Program) ||
-      !getBool(F, "replay_ok", &E.ReplayOk) ||
-      !getBool(F, "analysis_ok", &E.AnalysisOk) ||
-      !getU64(F, "analysis_warnings", &E.AnalysisWarnings) ||
-      !getString(F, "analysis_diags", &E.AnalysisDiags) ||
-      !getBool(F, "tv_ran", &E.TvRan) ||
-      !getString(F, "tv_verdict", &E.TvVerdict) ||
-      !getU64(F, "tv_loops", &E.TvLoops) ||
-      !getU64(F, "tv_terms", &E.TvTerms) ||
-      !getString(F, "tv_certificate", &E.TvCertificate) ||
-      !getBool(F, "codelint_ran", &E.CodelintRan) ||
-      !getString(F, "codelint_verdict", &E.CodelintVerdict) ||
-      !getBool(F, "differential_ok", &E.DifferentialOk))
-    return std::nullopt;
-
-  if (fnv1a64(payloadString(Key, E)) != Integrity)
-    return std::nullopt;
-  if (KeyOut)
-    *KeyOut = Key;
-  return E;
-}
-
 std::optional<CertEntry> CertCache::lookup(const CertKey &Key,
                                            uint64_t OptsHash,
                                            CacheStats *Stats) const {
@@ -445,37 +241,15 @@ std::optional<CertEntry> CertCache::lookup(const CertKey &Key,
   if (fault::fireWithRetry(fault::Site::CacheRead, Key.fileStem()))
     return Miss();
 
-  // Warm path: the binary image — one pre-sized read, a fixed-field
-  // decode, no JSON. A corrupt or misfiled image is deleted and falls
-  // back to the JSON entry below; it can cost a parse, never soundness.
-  std::string BinImage;
-  if (readWholeFile(binPathFor(Key), &BinImage)) {
-    CertKey StoredKey;
-    std::optional<CertEntry> E = deserializeBin(BinImage, &StoredKey);
-    if (E && StoredKey == Key) {
-      if (E->OptsHash != OptsHash)
-        return Miss(); // Same inputs, different validation options.
-      if (Stats) {
-        ++Stats->Hits;
-        ++Stats->BinHits;
-      }
-      return E;
-    }
-    std::error_code EC;
-    std::filesystem::remove(binPathFor(Key), EC);
-    if (Stats)
-      ++Stats->CorruptDiscarded;
-  }
-
-  std::string Path = pathFor(Key);
-  std::string Text;
-  if (!readWholeFile(Path, &Text))
+  std::string Path = binPathFor(Key);
+  std::string Image;
+  if (!readWholeFile(Path, &Image))
     return Miss();
 
   CertKey StoredKey;
-  std::optional<CertEntry> E = deserialize(Text, &StoredKey);
+  std::optional<CertEntry> E = deserializeBin(Image, &StoredKey);
   if (!E || !(StoredKey == Key)) {
-    // Unparseable, integrity-failed, or misfiled: discard, never trust.
+    // Undecodable, integrity-failed, or misfiled: discard, never trust.
     std::error_code EC;
     std::filesystem::remove(Path, EC);
     if (Stats)
@@ -484,8 +258,10 @@ std::optional<CertEntry> CertCache::lookup(const CertKey &Key,
   }
   if (E->OptsHash != OptsHash)
     return Miss(); // Same inputs, different validation options.
-  if (Stats)
+  if (Stats) {
     ++Stats->Hits;
+    ++Stats->BinHits;
+  }
   return E;
 }
 
@@ -499,20 +275,13 @@ Status CertCache::store(const CertKey &Key, const CertEntry &Entry,
     return Error("certificate cache: cannot create '" + Dir +
                  "': " + EC.message());
 
-  // Both faces of the entry, written canonical-JSON first so a crash
-  // between the two renames leaves at worst a JSON-only entry (the state
-  // every pre-binary cache is already in), never a binary-only one with a
-  // stale JSON sibling.
-  struct Face {
-    std::string Path, Payload;
-  } Faces[2] = {{pathFor(Key), serialize(Key, Entry)},
-                {binPathFor(Key), serializeBin(Key, Entry)}};
+  const std::string Path = binPathFor(Key);
+  const std::string Image = serializeBin(Key, Entry);
 
   // Bounded retry with backoff: transient I/O failures (and injected
-  // transient cache-write faults) are absorbed; each attempt uses fresh
-  // uniquely named temp files and cleans them up on failure, so a
-  // concurrent writer of the same key can never observe — or clobber —
-  // our temps.
+  // transient cache-write faults) are absorbed; each attempt uses a fresh
+  // uniquely named temp file and cleans it up on failure, so a concurrent
+  // writer of the same key can never observe — or clobber — our temp.
   constexpr unsigned MaxAttempts = 4;
   std::string LastErr;
   for (unsigned A = 0; A < MaxAttempts; ++A) {
@@ -522,34 +291,26 @@ Status CertCache::store(const CertKey &Key, const CertEntry &Entry,
       LastErr = H->describe();
       continue;
     }
-    bool Wrote = true;
-    for (const Face &F : Faces) {
-      std::string Tmp = F.Path + uniqueTempSuffix();
-      {
-        std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-        if (!Out) {
-          LastErr = "cannot open '" + Tmp + "' for writing";
-          Wrote = false;
-          break;
-        }
-        Out << F.Payload;
-        if (!Out.flush()) {
-          LastErr = "write to '" + Tmp + "' failed";
-          std::filesystem::remove(Tmp, EC);
-          Wrote = false;
-          break;
-        }
+    std::string Tmp = Path + uniqueTempSuffix();
+    {
+      std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
+      if (!Out) {
+        LastErr = "cannot open '" + Tmp + "' for writing";
+        continue;
       }
-      std::filesystem::rename(Tmp, F.Path, EC);
-      if (EC) {
-        LastErr = "cannot rename '" + Tmp + "' into place: " + EC.message();
+      Out << Image;
+      if (!Out.flush()) {
+        LastErr = "write to '" + Tmp + "' failed";
         std::filesystem::remove(Tmp, EC);
-        Wrote = false;
-        break;
+        continue;
       }
     }
-    if (!Wrote)
+    std::filesystem::rename(Tmp, Path, EC);
+    if (EC) {
+      LastErr = "cannot rename '" + Tmp + "' into place: " + EC.message();
+      std::filesystem::remove(Tmp, EC);
       continue;
+    }
     if (Stats)
       ++Stats->Stores;
     return Status::success();
@@ -570,8 +331,8 @@ unsigned CertCache::sweepStaleTemps(std::chrono::seconds MaxAge) const {
   const auto Now = std::filesystem::file_time_type::clock::now();
   for (const auto &Ent : It) {
     std::string Name = Ent.path().filename().string();
-    // Current writers produce "<stem>.cert.json.tmp.<pid>.<n>" and
-    // "<stem>.cert.bin.tmp.<pid>.<n>"; older versions produced
+    // Current writers produce "<stem>.cert.bin.tmp.<pid>.<n>"; older
+    // versions also produced "<stem>.cert.json.tmp.<pid>.<n>" and
     // "<stem>.cert.json.tmp". All are debris once their writer is gone.
     if (Name.find(".cert.json.tmp") == std::string::npos &&
         Name.find(".cert.bin.tmp") == std::string::npos)

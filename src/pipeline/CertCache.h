@@ -19,27 +19,22 @@
 // verdict for inputs proven (by hash) identical to ones already certified.
 // Any change to the model, the fnspec, the emitted code, or the validation
 // options changes a hash and misses — invalidation is structural, not
-// time-based. Entries that fail to parse, whose recorded key disagrees
+// time-based. Entries that fail to decode, whose recorded key disagrees
 // with the filename, or whose integrity hash does not match the payload
 // are *discarded and deleted*, and the verdict is re-derived from scratch:
 // a corrupted cache can cost time, never soundness. Entries are only ever
 // written for fully successful certifications — failures are not cached
 // (they are cheap to re-derive and their diagnostics should stay fresh).
 //
-// On-disk format: two files per entry under the cache directory, both
-// named by the key — <model>-<spec>-<code> (16 hex digits each):
-//
-//   <stem>.cert.json  the canonical, diffable JSON entry (keys sorted,
-//                     one per line, byte-stable for a given entry);
-//   <stem>.cert.bin   the same entry as a length-prefixed binary image
-//                     with a trailing integrity hash — the warm path.
-//
-// lookup() tries the binary image first (one read, a bounds-checked
-// fixed-field decode, zero JSON parsing) and falls back to the JSON file
-// when the image is missing or fails verification — a corrupt image is
-// deleted and costs one fallback parse, never soundness. store() writes
-// both files with the same crash-safe unique-temp-file + rename dance, so
-// a cache produced by any writer serves both paths.
+// On-disk format: one file per entry under the cache directory, named by
+// the key — <model>-<spec>-<code>.cert.bin (16 hex digits each): every
+// field as length-prefixed records behind a magic + version, with a
+// trailing integrity hash. The image carries both certificate payloads
+// verbatim, so a warm hit is one read and a bounds-checked fixed-field
+// decode. A missing, corrupt, or misfiled image is a plain miss; any other
+// file in the directory (such as a .cert.json written by older relc
+// versions) is never read. store() writes through a unique temp file and
+// a rename, so a crash leaves either the old entry or the new one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -87,9 +82,8 @@ struct CertEntry {
   uint64_t TvLoops = 0, TvTerms = 0; ///< For the per-program tv line.
   std::string TvCertificate; ///< The .tv.json payload ("" if !TvRan).
   /// The .certbin payload (cert::BinWriter image; "" if !TvRan). Carried
-  /// verbatim in the binary cache entry so warm runs reproduce cold
-  /// artifacts byte-for-byte; legacy JSON entries leave it empty and the
-  /// pipeline re-encodes it from TvCertificate.
+  /// verbatim in the cache entry so warm runs reproduce cold artifacts
+  /// byte-for-byte.
   std::string TvCertBin;
   bool CodelintRan = false;  ///< Target-side codelint layer executed.
   std::string CodelintVerdict; ///< Overall verdict name ("" if !CodelintRan).
@@ -102,7 +96,7 @@ struct CacheStats {
   unsigned Misses = 0;
   unsigned Stores = 0;
   unsigned CorruptDiscarded = 0;
-  unsigned BinHits = 0; ///< Subset of Hits served from the binary image.
+  unsigned BinHits = 0; ///< Hits served from the binary image (== Hits).
 };
 
 class CertCache {
@@ -115,7 +109,7 @@ public:
   bool enabled() const { return !Dir.empty(); }
   const std::string &dir() const { return Dir; }
 
-  /// Returns the entry for \p Key iff one exists, parses cleanly, passes
+  /// Returns the entry for \p Key iff one exists, decodes cleanly, passes
   /// its integrity hash, and matches \p OptsHash. A present-but-invalid
   /// entry is deleted (and counted in \p Stats->CorruptDiscarded); an
   /// options mismatch is a plain miss (the entry stays — another flag
@@ -134,32 +128,20 @@ public:
   Status store(const CertKey &Key, const CertEntry &Entry,
                CacheStats *Stats = nullptr) const;
 
-  /// Removes temp files (".cert.json.tmp*" and legacy ".tmp") under the
-  /// cache directory older than \p MaxAge — debris from writers that
-  /// crashed between create and rename. Returns how many were removed.
-  /// Called automatically on open with a conservative age; tests pass 0s
-  /// to sweep unconditionally.
+  /// Removes temp files (".cert.bin.tmp*", plus the ".cert.json.tmp*"
+  /// older writers produced) under the cache directory older than
+  /// \p MaxAge — debris from writers that crashed between create and
+  /// rename. Returns how many were removed. Called automatically on open
+  /// with a conservative age; tests pass 0s to sweep unconditionally.
   unsigned
   sweepStaleTemps(std::chrono::seconds MaxAge = std::chrono::seconds(600))
       const;
 
-  /// Serialization, exposed for tests and the independent checker: the
-  /// exact JSON file content store() writes, including the integrity hash.
-  /// (The JSON entry deliberately omits TvCertBin — it predates it, stays
-  /// byte-compatible with entries written before the binary path existed,
-  /// and the binary payload is re-derivable from TvCertificate.)
-  static std::string serialize(const CertKey &Key, const CertEntry &Entry);
-
-  /// Inverse of serialize(). Fails (nullopt) on any malformed field,
-  /// missing key, format-version mismatch, or integrity-hash mismatch.
-  static std::optional<CertEntry> deserialize(const std::string &Text,
-                                              CertKey *KeyOut = nullptr);
-
-  /// The binary cache image store() writes next to the JSON: every field
-  /// (including both certificate payloads, verbatim) as length-prefixed
-  /// little-endian records behind a magic + version, with a trailing
-  /// FNV-1a integrity hash. Loading it allocates one string per string
-  /// field — O(1) allocations per entry, no parsing.
+  /// The entry image store() writes: every field (including both
+  /// certificate payloads, verbatim) as length-prefixed little-endian
+  /// records behind a magic + version, with a trailing FNV-1a integrity
+  /// hash. Loading it allocates one string per string field — O(1)
+  /// allocations per entry, no parsing.
   static std::string serializeBin(const CertKey &Key, const CertEntry &Entry);
 
   /// Inverse of serializeBin(). Fails (nullopt) on bad magic or version,
@@ -172,7 +154,6 @@ public:
 private:
   std::string Dir;
 
-  std::string pathFor(const CertKey &Key) const;
   std::string binPathFor(const CertKey &Key) const;
 };
 

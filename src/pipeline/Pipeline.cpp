@@ -206,13 +206,6 @@ void applyCached(ProgramOutcome &O, const CertEntry &E) {
   O.TvTerms = E.TvTerms;
   O.TvCertJson = E.TvCertificate;
   O.TvCertBin = E.TvCertBin;
-  // A legacy JSON-only entry predates the binary image: re-encode it from
-  // the canonical JSON so warm runs still emit both artifacts. Both
-  // writers are deterministic, so the result is byte-identical to what a
-  // cold run would have produced.
-  if (O.TvCertBin.empty() && !O.TvCertJson.empty())
-    if (std::optional<cert::Certificate> C = cert::Reader::parse(O.TvCertJson))
-      O.TvCertBin = cert::BinWriter::write(*C);
   O.CodelintVerdictName = E.CodelintVerdict;
   O.CacheHit = true;
 }

@@ -8,7 +8,6 @@
 #include "validate/Validate.h"
 
 #include "analysis/Analysis.h"
-#include "pipeline/Scheduler.h"
 #include "support/Budget.h"
 #include "support/Fault.h"
 #include "support/StringExtras.h"
@@ -622,64 +621,19 @@ Status validate(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
                 const core::CompileResult &Compiled,
                 const bedrock::Module &Linked,
                 const ValidationOptions &Opts) {
-  // The three static layers are independent once the code is emitted; with
-  // Opts.Jobs > 1 they run concurrently on the job-graph scheduler, and
-  // differential certification follows once all of them pass. Failures are
-  // reported in the fixed serial layer order either way, so verdicts and
-  // diagnostics are identical to a Jobs == 1 run.
-  Status Replay = Status::success(), Analyze = Status::success();
-  Status Tv = Status::success(), Diff = Status::success();
-  bool StaticOk = false;
-
-  if (Opts.Jobs <= 1) {
-    Replay = replayDerivation(Fn, Compiled);
-    if (!Replay)
-      return Replay.takeError().note(
-          "derivation replay rejected the witness");
-    Analyze = analyzeTarget(Fn, Spec, Compiled, Opts);
-    if (!Analyze)
-      return Analyze.takeError().note("static analysis rejected the target");
-    if (Opts.RunTv) {
-      Tv = translationValidate(Fn, Spec, Compiled, Opts);
-      if (!Tv)
-        return Tv.takeError().note(
-            "translation validation rejected the target");
-    }
-    StaticOk = true;
-  } else {
-    pipeline::JobGraph G;
-    std::vector<pipeline::JobId> StaticJobs;
-    StaticJobs.push_back(G.add("replay", [&] {
-      Replay = replayDerivation(Fn, Compiled);
-    }));
-    StaticJobs.push_back(G.add("analysis", [&] {
-      Analyze = analyzeTarget(Fn, Spec, Compiled, Opts);
-    }));
-    if (Opts.RunTv)
-      StaticJobs.push_back(G.add("tv", [&] {
-        Tv = translationValidate(Fn, Spec, Compiled, Opts);
-      }));
-    G.add("differential", [&] {
-      if (Replay && Analyze && Tv) {
-        StaticOk = true;
-        Diff = differentialCertify(Fn, Spec, Compiled, Linked, Opts);
-      }
-    }, StaticJobs);
-    Status Run = G.run(Opts.Jobs);
-    if (!Run)
-      return Run; // A layer threw; never expected (layers return Status).
-    if (!Replay)
-      return Replay.takeError().note(
-          "derivation replay rejected the witness");
-    if (!Analyze)
-      return Analyze.takeError().note("static analysis rejected the target");
+  Status Replay = replayDerivation(Fn, Compiled);
+  if (!Replay)
+    return Replay.takeError().note("derivation replay rejected the witness");
+  Status Analyze = analyzeTarget(Fn, Spec, Compiled, Opts);
+  if (!Analyze)
+    return Analyze.takeError().note("static analysis rejected the target");
+  if (Opts.RunTv) {
+    Status Tv = translationValidate(Fn, Spec, Compiled, Opts);
     if (!Tv)
       return Tv.takeError().note(
           "translation validation rejected the target");
   }
-
-  if (Opts.Jobs <= 1 && StaticOk)
-    Diff = differentialCertify(Fn, Spec, Compiled, Linked, Opts);
+  Status Diff = differentialCertify(Fn, Spec, Compiled, Linked, Opts);
   if (!Diff)
     return Diff.takeError().note("differential certification failed");
   return Status::success();

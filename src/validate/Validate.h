@@ -101,14 +101,6 @@ struct ValidationOptions {
   /// Run the symbolic translation validator (layer 3). On by default; a
   /// Refuted verdict fails validation, Inconclusive does not.
   bool RunTv = true;
-  /// Scheduler width for the certification layers. With Jobs == 1 (the
-  /// default) the layers run inline in the fixed serial order; with more,
-  /// replay / analysis / tv execute concurrently on the job-graph
-  /// scheduler (they are independent once code is emitted) and
-  /// differential certification runs after all of them. Verdicts and
-  /// diagnostics are identical either way: failures are reported in the
-  /// fixed layer order, not completion order.
-  unsigned Jobs = 1;
 
   //===------------------------------------------------------------------===//
   // Robustness guards (DESIGN.md §4.7). Exhaustion of any of these maps
@@ -170,8 +162,11 @@ Status differentialCertify(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
                            const ValidationOptions &Opts = {},
                            bool *BudgetExhausted = nullptr);
 
-/// All layers: replay, static analysis, translation validation,
-/// differential testing.
+/// All layers, in one fixed sequence: replay, static analysis, translation
+/// validation (when Opts.RunTv), differential testing. The first rejection
+/// is returned with a note naming its layer; later layers do not run. The
+/// suite pipeline (pipeline/Pipeline.h) runs the same order and adds the
+/// codelint layer.
 Status validate(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
                 const core::CompileResult &Compiled,
                 const bedrock::Module &Linked,
@@ -182,8 +177,8 @@ std::vector<ir::Value> defaultInputs(const ir::SourceFn &Fn, Rng &R,
                                      size_t SizeHint);
 
 /// Renders the layer-2 rejection for an analysis report with errors.
-/// Shared by analyzeTarget and the parallel pipeline (pipeline/Pipeline.h)
-/// so serial and parallel runs print byte-identical diagnostics.
+/// Shared by analyzeTarget and the pipeline (pipeline/Pipeline.h) so both
+/// print byte-identical diagnostics.
 Error analysisRejection(const std::string &TargetName,
                         const analysis::AnalysisReport &Report);
 

@@ -10,7 +10,7 @@
 // canonical (byte-identical for equal certificates), the JSON and binary
 // faces of one certificate decode — and rederive — identically over the
 // whole suite, and a corpus of image-level tampering (truncation, bad
-// magic, flipped integrity, future versions, escaping offsets) is
+// magic, flipped integrity, future or older versions, escaping offsets) is
 // rejected with each case's own stable named reason. The mmap'd image is
 // untrusted input; a rejection must never become an acceptance.
 //
@@ -233,10 +233,23 @@ TEST(CertBinaryTest, TamperFutureVersionsAreNamed) {
   // Certificate schema version: behind the integrity gate, so the forgery
   // must reseal to reach it — and is still refused.
   Image = cert::BinWriter::write(sampleCert());
-  patchU32(Image, 12, cert::kSchemaVersion + 1);
+  patchU32(Image, 12, 99);
   resealIntegrity(Image);
   expectBinReject(Image, cert::Reject::UnknownSchemaVersion,
                   "future schema version");
+}
+
+TEST(CertBinaryTest, TamperSchemaDowngradeIsNamed) {
+  // The binary face follows the JSON face's rule: only kSchemaVersion is
+  // readable, so an older version is refused at decode, not left for the
+  // checker to catch.
+  for (uint32_t Old : {0u, 1u}) {
+    std::string Image = cert::BinWriter::write(sampleCert());
+    patchU32(Image, 12, Old);
+    resealIntegrity(Image);
+    expectBinReject(Image, cert::Reject::UnknownSchemaVersion,
+                    Old == 0 ? "schema version 0" : "schema version 1");
+  }
 }
 
 TEST(CertBinaryTest, TamperOffsetOutOfRange) {

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // cert::Writer and cert::Reader against each other: a v2 certificate
-// survives a write/parse roundtrip field-for-field; legacy v1 files still
-// parse (without key or witness); malformed text and future schema
-// versions are rejected with the right named reason.
+// survives a write/parse roundtrip field-for-field; legacy v1 files,
+// malformed text, and any other schema version are rejected with the
+// right named reason.
 //
 //===----------------------------------------------------------------------===//
 
@@ -161,7 +161,7 @@ TEST(CertIoTest, EscapedStringsRoundtrip) {
   EXPECT_FALSE(R->proved());
 }
 
-TEST(CertIoTest, LegacyV1Parses) {
+TEST(CertIoTest, LegacyV1IsMalformed) {
   std::string V1 = R"({
   "format": "relc-tv-certificate-v1",
   "function": "fnv1a",
@@ -181,18 +181,22 @@ TEST(CertIoTest, LegacyV1Parses) {
      "source_binding": "1", "target_path": "2"}
   ]
 })";
+  // No "schema_version" at all: not a certificate this checker reads.
   cert::ReadError Err;
-  std::optional<cert::Certificate> R = cert::Reader::parse(V1, &Err);
-  ASSERT_TRUE(R.has_value()) << Err.Detail;
-  EXPECT_EQ(R->SchemaVersion, 1u);
-  EXPECT_EQ(R->Function, "fnv1a");
-  // v1 carries no content hashes: the key stays zero (unverifiable).
-  EXPECT_TRUE(R->Key == cert::ContentKey{});
-  ASSERT_EQ(R->Loops.size(), 1u);
-  EXPECT_EQ(R->Loops[0].FoldHash, 0xaaull);
-  EXPECT_TRUE(R->Loops[0].WitnessLocals.empty());
-  ASSERT_EQ(R->Bindings.size(), 1u);
-  EXPECT_EQ(R->Bindings[0].Hash, 0xbbull);
+  EXPECT_FALSE(cert::Reader::parse(V1, &Err).has_value());
+  EXPECT_EQ(Err.Why, cert::Reject::MalformedCertificate);
+
+  // A v2-shaped file claiming schema_version 1 is a version mismatch,
+  // and the detail does not call the older version newer.
+  std::string Old = cert::Writer::write(sampleCert());
+  size_t Pos = Old.find("\"schema_version\": 2");
+  ASSERT_NE(Pos, std::string::npos);
+  Old.replace(Pos, std::string("\"schema_version\": 2").size(),
+              "\"schema_version\": 1");
+  EXPECT_FALSE(cert::Reader::parse(Old, &Err).has_value());
+  EXPECT_EQ(Err.Why, cert::Reject::UnknownSchemaVersion);
+  EXPECT_NE(Err.Detail.find("schema_version 1 is older"), std::string::npos)
+      << Err.Detail;
 }
 
 TEST(CertIoTest, FutureSchemaVersionIsNamedDistinctly) {
@@ -200,7 +204,8 @@ TEST(CertIoTest, FutureSchemaVersionIsNamedDistinctly) {
   cert::ReadError Err;
   EXPECT_FALSE(cert::Reader::parse(Future, &Err).has_value());
   EXPECT_EQ(Err.Why, cert::Reject::UnknownSchemaVersion);
-  EXPECT_NE(Err.Detail.find("99"), std::string::npos);
+  EXPECT_NE(Err.Detail.find("schema_version 99 is newer"), std::string::npos)
+      << Err.Detail;
 }
 
 TEST(CertIoTest, MalformedInputsAreMalformed) {
@@ -244,8 +249,6 @@ TEST(CertIoTest, RejectNamesAreStableKebabCase) {
                "missing-certificate");
   EXPECT_STREQ(cert::rejectName(cert::Reject::UnknownSchemaVersion),
                "unknown-schema-version");
-  EXPECT_STREQ(cert::rejectName(cert::Reject::UnverifiableV1),
-               "unverifiable-v1");
   EXPECT_STREQ(cert::rejectName(cert::Reject::StaleModel), "stale-model");
   EXPECT_STREQ(cert::rejectName(cert::Reject::LoopWitnessMismatch),
                "loop-witness-mismatch");

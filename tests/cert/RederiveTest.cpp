@@ -206,7 +206,7 @@ TEST(RederiveTest, TamperSchemaDowngradeToV1) {
   Produced W = produce("crc32");
   cert::Certificate C = W.Cert;
   C.SchemaVersion = 1;
-  expectReject(W, C, cert::Reject::UnverifiableV1, "v1 downgrade");
+  expectReject(W, C, cert::Reject::UnknownSchemaVersion, "v1 downgrade");
 }
 
 TEST(RederiveTest, TamperSchemaFromTheFuture) {

@@ -7,10 +7,10 @@
 //
 // The point of the binary cache image is that a warm hit costs O(1)
 // allocations regardless of how large the embedded certificate grew —
-// one exact-sized string per field, no line splitting, no field map, no
-// unescape loop. These tests pin that property with the bench_common.h
-// counting hook: this is the one TU of this binary that defines
-// RELC_BENCH_COUNT_ALLOCS, so global operator new feeds allocCount().
+// one exact-sized string per field, no parsing. These tests pin that
+// property with the bench_common.h counting hook: this is the one TU of
+// this binary that defines RELC_BENCH_COUNT_ALLOCS, so global operator
+// new feeds allocCount().
 //
 // The bounds are deliberately generous (a libstdc++ upgrade may shift
 // small constants); what must NOT pass is an accidental reintroduction
@@ -43,8 +43,7 @@ CertKey sampleKey() {
 }
 
 /// An entry whose certificate payloads scale with \p PayloadSize; the
-/// JSON face must escape the quote/newline mix, the binary face carries
-/// it verbatim.
+/// image carries the quote/newline mix verbatim.
 CertEntry sampleEntry(size_t PayloadSize) {
   CertEntry E;
   E.OptsHash = 0x4444444444444444ULL;
@@ -83,16 +82,6 @@ uint64_t binLoadAllocs(const std::string &Image, bool *OkOut) {
   return N;
 }
 
-uint64_t jsonLoadAllocs(const std::string &Text, bool *OkOut) {
-  bool Ok = false;
-  uint64_t N = allocationsDuring([&] {
-    std::optional<CertEntry> E = CertCache::deserialize(Text);
-    Ok = E.has_value();
-  });
-  *OkOut = Ok;
-  return N;
-}
-
 TEST(AllocCountTest, HookIsCountingAtAll) {
   uint64_t N = allocationsDuring([] {
     std::string S(4096, 'x');
@@ -120,25 +109,6 @@ TEST(AllocCountTest, BinLoadIsConstantAllocationsInPayloadSize) {
   EXPECT_LE(NLarge, 32u) << "binary load allocates more than O(1)";
   uint64_t Delta = NLarge > NSmall ? NLarge - NSmall : NSmall - NLarge;
   EXPECT_LE(Delta, 4u) << "binary load allocations scale with payload size";
-}
-
-TEST(AllocCountTest, JsonLoadAllocationsGrowButBinStaysFlat) {
-  CertKey K = sampleKey();
-  CertEntry Large = sampleEntry(1 << 20);
-  std::string Json = CertCache::serialize(K, Large);
-  std::string Bin = CertCache::serializeBin(K, Large);
-
-  bool JsonOk = false, BinOk = false;
-  uint64_t NJson = jsonLoadAllocs(Json, &JsonOk);
-  uint64_t NBin = binLoadAllocs(Bin, &BinOk);
-  ASSERT_TRUE(JsonOk);
-  ASSERT_TRUE(BinOk);
-
-  // The JSON face line-splits, builds a field map, and unescapes through
-  // amortized growth — for a 1 MiB certificate it must allocate well
-  // beyond the binary face's fixed budget. 2x is a deliberately loose
-  // floor (measured gap is an order of magnitude).
-  EXPECT_GT(NJson, 2 * NBin);
 }
 
 TEST(AllocCountTest, BinLoadRoundTripsWhileCounted) {

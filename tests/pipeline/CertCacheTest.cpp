@@ -6,8 +6,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/CertCache.h"
+#include "pipeline/Pipeline.h"
 #include "support/Fault.h"
 #include "support/Hash.h"
+#include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
 
@@ -107,46 +109,6 @@ TEST(CertCacheTest, Hex16RoundTrips) {
   EXPECT_FALSE(parseHex("00000000000000000", &X)); // 17 digits: too long.
 }
 
-TEST(CertCacheTest, SerializeDeserializeRoundTrips) {
-  CertKey K = sampleKey();
-  CertEntry E = sampleEntry();
-  std::string Text = CertCache::serialize(K, E);
-
-  CertKey K2;
-  std::optional<CertEntry> E2 = CertCache::deserialize(Text, &K2);
-  ASSERT_TRUE(E2.has_value());
-  EXPECT_TRUE(K2 == K);
-  EXPECT_EQ(E2->Program, E.Program);
-  EXPECT_EQ(E2->OptsHash, E.OptsHash);
-  EXPECT_EQ(E2->ReplayOk, E.ReplayOk);
-  EXPECT_EQ(E2->AnalysisOk, E.AnalysisOk);
-  EXPECT_EQ(E2->AnalysisWarnings, E.AnalysisWarnings);
-  EXPECT_EQ(E2->AnalysisDiags, E.AnalysisDiags);
-  EXPECT_EQ(E2->TvRan, E.TvRan);
-  EXPECT_EQ(E2->TvVerdict, E.TvVerdict);
-  EXPECT_EQ(E2->TvLoops, E.TvLoops);
-  EXPECT_EQ(E2->TvTerms, E.TvTerms);
-  EXPECT_EQ(E2->TvCertificate, E.TvCertificate);
-  EXPECT_EQ(E2->DifferentialOk, E.DifferentialOk);
-}
-
-TEST(CertCacheTest, SerializationIsByteStable) {
-  // Two serializations of the same entry are identical — the disk format
-  // must be deterministic for byte-identical warm-run artifacts.
-  EXPECT_EQ(CertCache::serialize(sampleKey(), sampleEntry()),
-            CertCache::serialize(sampleKey(), sampleEntry()));
-}
-
-TEST(CertCacheTest, AnyFlippedPayloadBitFailsIntegrity) {
-  std::string Text = CertCache::serialize(sampleKey(), sampleEntry());
-  // Flip the verdict: "proved" -> "proxed".
-  size_t Pos = Text.find("proved");
-  ASSERT_NE(Pos, std::string::npos);
-  std::string Tampered = Text;
-  Tampered[Pos + 3] = 'x';
-  EXPECT_FALSE(CertCache::deserialize(Tampered).has_value());
-}
-
 TEST(CertCacheTest, StoreThenLookupHits) {
   TempDir D("roundtrip");
   CertCache Cache(D.Path);
@@ -197,13 +159,9 @@ TEST(CertCacheTest, CorruptedEntryDiscardedDeletedAndRederivable) {
   CertCache Cache(D.Path);
   ASSERT_TRUE(bool(Cache.store(sampleKey(), sampleEntry())));
 
-  // Corrupt BOTH faces of the entry on disk (store writes a JSON file and
-  // a binary image per entry).
-  std::vector<std::string> Paths;
-  for (const auto &Ent : std::filesystem::directory_iterator(D.Path))
-    Paths.push_back(Ent.path().string());
-  ASSERT_EQ(Paths.size(), 2u);
-  for (const std::string &Path : Paths) {
+  // Corrupt the entry's one file on disk.
+  std::string Path = D.Path + "/" + sampleKey().fileStem() + ".cert.bin";
+  {
     std::ofstream Out(Path, std::ios::app | std::ios::binary);
     Out << "garbage\n";
   }
@@ -211,11 +169,11 @@ TEST(CertCacheTest, CorruptedEntryDiscardedDeletedAndRederivable) {
   CacheStats Stats;
   EXPECT_FALSE(
       Cache.lookup(sampleKey(), sampleEntry().OptsHash, &Stats).has_value());
-  EXPECT_EQ(Stats.CorruptDiscarded, 2u);
+  EXPECT_EQ(Stats.CorruptDiscarded, 1u);
   EXPECT_EQ(Stats.Misses, 1u);
-  // Both poisoned files are gone; a fresh store + lookup works again.
-  for (const std::string &Path : Paths)
-    EXPECT_FALSE(std::filesystem::exists(Path)) << Path;
+  EXPECT_EQ(Stats.Hits, 0u);
+  // The poisoned file is gone; a fresh store + lookup works again.
+  EXPECT_FALSE(std::filesystem::exists(Path));
   ASSERT_TRUE(bool(Cache.store(sampleKey(), sampleEntry())));
   EXPECT_TRUE(
       Cache.lookup(sampleKey(), sampleEntry().OptsHash, &Stats).has_value());
@@ -274,45 +232,138 @@ TEST(CertCacheTest, WarmHitIsServedFromBinImage) {
   EXPECT_EQ(E->TvCertBin, sampleEntry().TvCertBin);
 }
 
-TEST(CertCacheTest, CorruptBinImageFallsBackToJson) {
-  TempDir D("bin-fallback");
+TEST(CertCacheTest, StoreWritesExactlyOneEntryFile) {
+  TempDir D("one-file");
   CertCache Cache(D.Path);
   ASSERT_TRUE(bool(Cache.store(sampleKey(), sampleEntry())));
-  std::string BinPath = D.Path + "/" + sampleKey().fileStem() + ".cert.bin";
+  std::vector<std::string> Names;
+  for (const auto &Ent : std::filesystem::directory_iterator(D.Path))
+    Names.push_back(Ent.path().filename().string());
+  EXPECT_EQ(Names,
+            std::vector<std::string>{sampleKey().fileStem() + ".cert.bin"});
+}
+
+/// The JSON entry ("relc-cert-cache-v1") older relc versions wrote beside
+/// each image, integrity hash included: a file those versions would have
+/// served as a hit.
+std::string legacyJsonEntry(const CertKey &K, const CertEntry &E) {
+  auto Field = [](const std::string &S) {
+    return std::to_string(S.size()) + ":" + S + ";";
+  };
+  auto Bit = [](bool B) { return std::string(B ? "1" : "0"); };
+  auto Bool = [](bool B) { return std::string(B ? "true" : "false"); };
+  std::string Payload =
+      Field("relc-cert-cache-v1") + Field(K.fileStem()) + Field(E.Program) +
+      Field(hex16(E.OptsHash)) + Field(Bit(E.ReplayOk)) +
+      Field(Bit(E.AnalysisOk)) + Field(std::to_string(E.AnalysisWarnings)) +
+      Field(E.AnalysisDiags) + Field(Bit(E.TvRan)) + Field(E.TvVerdict) +
+      Field(std::to_string(E.TvLoops)) + Field(std::to_string(E.TvTerms)) +
+      Field(E.TvCertificate) + Field(Bit(E.DifferentialOk)) +
+      Field(Bit(E.CodelintRan)) + Field(E.CodelintVerdict);
+  auto Str = [](const std::string &S) {
+    std::string Q = "\"";
+    Q += jsonEscape(S);
+    return Q += '"';
+  };
+  std::pair<const char *, std::string> Fields[] = {
+      {"analysis_diags", Str(E.AnalysisDiags)},
+      {"analysis_ok", Bool(E.AnalysisOk)},
+      {"analysis_warnings", std::to_string(E.AnalysisWarnings)},
+      {"code_hash", Str(hex16(K.CodeHash))},
+      {"codelint_ran", Bool(E.CodelintRan)},
+      {"codelint_verdict", Str(E.CodelintVerdict)},
+      {"differential_ok", Bool(E.DifferentialOk)},
+      {"format", Str("relc-cert-cache-v1")},
+      {"integrity", Str(hex16(fnv1a64(Payload)))},
+      {"model_hash", Str(hex16(K.ModelHash))},
+      {"opts_hash", Str(hex16(E.OptsHash))},
+      {"program", Str(E.Program)},
+      {"replay_ok", Bool(E.ReplayOk)},
+      {"spec_hash", Str(hex16(K.SpecHash))},
+      {"tv_certificate", Str(E.TvCertificate)},
+      {"tv_loops", std::to_string(E.TvLoops)},
+      {"tv_ran", Bool(E.TvRan)},
+      {"tv_terms", std::to_string(E.TvTerms)},
+      {"tv_verdict", Str(E.TvVerdict)},
+  };
+  std::string J = "{\n";
+  for (const auto &[Name, Value] : Fields)
+    J += std::string("  \"") + Name + "\": " + Value +
+         (Name == std::string("tv_verdict") ? "\n" : ",\n");
+  return J + "}\n";
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+TEST(CertCacheTest, LegacyJsonOnlyEntryMissesAndRecertifies) {
+  // A stale entry can only miss: a cache directory holding nothing but the
+  // .cert.json an older relc wrote for this exact key is never read. The
+  // program is re-certified live, stored as its image, and every artifact
+  // is byte-identical to a cold run's.
+  std::vector<const programs::ProgramDef *> Prog = {
+      programs::findProgram("fnv1a")};
+  TempDir ColdDir("legacy-cold"), D("legacy");
+  PipelineOptions Opts;
+  Opts.CacheDir = ColdDir.Path;
+  std::vector<ProgramOutcome> Cold = certifyPrograms(Prog, Opts);
+  ASSERT_TRUE(Cold[0].ok()) << Cold[0].ValidationError;
+  std::string Stem = Cold[0].Key.fileStem();
+  std::optional<CertEntry> Entry = CertCache::deserializeBin(
+      readFile(ColdDir.Path + "/" + Stem + ".cert.bin"));
+  ASSERT_TRUE(Entry.has_value());
+
+  std::filesystem::create_directories(D.Path);
+  std::string Legacy = D.Path + "/" + Stem + ".cert.json";
+  std::string LegacyText = legacyJsonEntry(Cold[0].Key, *Entry);
+  std::ofstream(Legacy, std::ios::binary) << LegacyText;
+
+  Opts.CacheDir = D.Path;
+  PipelineStats Stats;
+  std::vector<ProgramOutcome> Out = certifyPrograms(Prog, Opts, &Stats);
+  ASSERT_TRUE(Out[0].ok()) << Out[0].ValidationError;
+  EXPECT_FALSE(Out[0].CacheHit);
+  EXPECT_TRUE(Out[0].Tv.Ran && Out[0].Diff.Ran);
+  EXPECT_EQ(Stats.Cache.Hits, 0u);
+  EXPECT_EQ(Stats.Cache.Misses, 1u);
+  EXPECT_EQ(Stats.Cache.Stores, 1u);
+  EXPECT_EQ(Stats.Cache.CorruptDiscarded, 0u);
+  EXPECT_EQ(Out[0].TvCertJson, Cold[0].TvCertJson);
+  EXPECT_EQ(Out[0].TvCertBin, Cold[0].TvCertBin);
+  EXPECT_EQ(readFile(D.Path + "/" + Stem + ".cert.bin"),
+            readFile(ColdDir.Path + "/" + Stem + ".cert.bin"));
+  EXPECT_EQ(readFile(Legacy), LegacyText); // Never read, never touched.
+}
+
+TEST(CertCacheTest, CorruptBinImageMissesWithoutJsonFallback) {
+  // Older relc versions served a corrupt image's entry from its .cert.json
+  // sibling. Now the image is the entry: a corrupt one is deleted, counted,
+  // and misses, even with an intact legacy JSON entry beside it.
+  TempDir D("bin-no-fallback");
+  CertCache Cache(D.Path);
+  ASSERT_TRUE(bool(Cache.store(sampleKey(), sampleEntry())));
+  std::string Stem = sampleKey().fileStem();
+  std::string BinPath = D.Path + "/" + Stem + ".cert.bin";
+  std::string Legacy = D.Path + "/" + Stem + ".cert.json";
+  std::string LegacyText = legacyJsonEntry(sampleKey(), sampleEntry());
+  std::ofstream(Legacy, std::ios::binary) << LegacyText;
   {
     std::ofstream Out(BinPath, std::ios::app | std::ios::binary);
     Out << "garbage";
   }
   CacheStats Stats;
-  std::optional<CertEntry> E =
-      Cache.lookup(sampleKey(), sampleEntry().OptsHash, &Stats);
-  // Still a hit — served from the JSON — and the poisoned image is gone.
-  ASSERT_TRUE(E.has_value());
-  EXPECT_EQ(Stats.Hits, 1u);
+  EXPECT_FALSE(
+      Cache.lookup(sampleKey(), sampleEntry().OptsHash, &Stats).has_value());
+  EXPECT_EQ(Stats.Hits, 0u);
   EXPECT_EQ(Stats.BinHits, 0u);
+  EXPECT_EQ(Stats.Misses, 1u);
   EXPECT_EQ(Stats.CorruptDiscarded, 1u);
   EXPECT_FALSE(std::filesystem::exists(BinPath));
-  EXPECT_EQ(E->TvCertificate, sampleEntry().TvCertificate);
-}
-
-TEST(CertCacheTest, LegacyJsonOnlyEntryStillHits) {
-  // A cache written before the binary path existed has no .cert.bin
-  // siblings; those entries must keep hitting (via the JSON fallback),
-  // with TvCertBin left empty for the pipeline to re-encode.
-  TempDir D("legacy");
-  CertCache Cache(D.Path);
-  ASSERT_TRUE(bool(Cache.store(sampleKey(), sampleEntry())));
-  std::filesystem::remove(D.Path + "/" + sampleKey().fileStem() +
-                          ".cert.bin");
-  CacheStats Stats;
-  std::optional<CertEntry> E =
-      Cache.lookup(sampleKey(), sampleEntry().OptsHash, &Stats);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_EQ(Stats.Hits, 1u);
-  EXPECT_EQ(Stats.BinHits, 0u);
-  EXPECT_EQ(Stats.CorruptDiscarded, 0u);
-  EXPECT_EQ(E->TvCertificate, sampleEntry().TvCertificate);
-  EXPECT_TRUE(E->TvCertBin.empty());
+  EXPECT_EQ(readFile(Legacy), LegacyText);
 }
 
 TEST(CertCacheTest, MisfiledEntryDiscarded) {
@@ -323,13 +374,14 @@ TEST(CertCacheTest, MisfiledEntryDiscarded) {
   CertKey Wrong = sampleKey();
   Wrong.CodeHash ^= 0xff;
   std::filesystem::create_directories(D.Path);
-  std::ofstream Out(D.Path + "/" + Wrong.fileStem() + ".cert.json");
-  Out << CertCache::serialize(sampleKey(), sampleEntry());
-  Out.close();
+  std::string Path = D.Path + "/" + Wrong.fileStem() + ".cert.bin";
+  std::ofstream(Path, std::ios::binary)
+      << CertCache::serializeBin(sampleKey(), sampleEntry());
 
   CacheStats Stats;
   EXPECT_FALSE(Cache.lookup(Wrong, sampleEntry().OptsHash, &Stats).has_value());
   EXPECT_EQ(Stats.CorruptDiscarded, 1u);
+  EXPECT_FALSE(std::filesystem::exists(Path));
 }
 
 TEST(CertCacheTest, DisabledCacheAlwaysMisses) {
@@ -391,7 +443,7 @@ TEST(CertCacheTest, SweepSparesYoungTemps) {
   CertCache Cache(D.Path);
   ASSERT_TRUE(bool(Cache.store(sampleKey(), sampleEntry())));
   std::string Stem = sampleKey().fileStem();
-  std::ofstream(D.Path + "/" + Stem + ".cert.json.tmp.999.0") << "inflight";
+  std::ofstream(D.Path + "/" + Stem + ".cert.bin.tmp.999.0") << "inflight";
   // A just-written temp may belong to a live writer: the default
   // conservative age must not touch it.
   EXPECT_EQ(Cache.sweepStaleTemps(), 0u);
@@ -481,12 +533,8 @@ TEST(CertCacheTest, MultiProcessWritersNeverTearEntries) {
   }
   // Whatever interleaving happened, the entry on disk is whole.
   CertKey K;
-  std::ifstream In(D.Path + "/" + sampleKey().fileStem() + ".cert.json",
-                   std::ios::binary);
-  ASSERT_TRUE(bool(In));
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::optional<CertEntry> E = CertCache::deserialize(Buf.str(), &K);
+  std::optional<CertEntry> E = CertCache::deserializeBin(
+      readFile(D.Path + "/" + sampleKey().fileStem() + ".cert.bin"), &K);
   ASSERT_TRUE(E.has_value());
   EXPECT_TRUE(K == sampleKey());
   EXPECT_EQ(E->Program.rfind("writer", 0), 0u);
