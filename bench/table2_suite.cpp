@@ -38,9 +38,10 @@ int main() {
               "Source", "Lemmas", "Hints", "End-to-End", "Arith", "Inline",
               "Arrays", "Loops", "Mutation");
 
+  core::Compiler Compiler;
   for (const programs::ProgramDef &P : programs::allPrograms()) {
-    Result<programs::CompiledProgram> C =
-        programs::compileAndValidate(P, /*RunValidation=*/false);
+    Result<core::CompileResult> C =
+        Compiler.compileFn(P.Model, P.Spec, P.Hints);
     if (!C) {
       std::printf("%-7s FAILED TO COMPILE: %s\n", P.Name.c_str(),
                   C.error().str().c_str());
@@ -52,7 +53,7 @@ int main() {
                                                       "-lemmas");
     unsigned Hints = sectionOrZero(P.SourceFile, "program-" + P.Name +
                                                      "-hints");
-    const auto &F = C->Result.Features;
+    const auto &F = C->Features;
     auto Has = [&](const char *Name) { return F.count(Name) != 0; };
     std::string LemmaStr = Lemmas ? std::to_string(Lemmas) : "-";
     std::string HintStr = Hints ? std::to_string(Hints) : "-";

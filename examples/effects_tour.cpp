@@ -17,9 +17,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Compiler.h"
 #include "ir/Build.h"
-#include "validate/Validate.h"
+#include "pipeline/Pipeline.h"
 
 #include <cstdio>
 
@@ -29,22 +28,24 @@ using namespace relc::ir;
 static bool runOne(const char *Title, const SourceFn &Model,
                    const sep::FnSpec &Spec,
                    validate::ValidationOptions VOpts = {}) {
-  core::Compiler C;
-  Result<core::CompileResult> R = C.compileFn(Model, Spec);
-  if (!R) {
+  programs::ProgramDef Def;
+  Def.Name = Spec.TargetName;
+  Def.Model = Model;
+  Def.Spec = Spec;
+  Def.VOpts = std::move(VOpts);
+  std::vector<pipeline::ProgramOutcome> Out =
+      pipeline::certifyPrograms({&Def}, {});
+  if (!Out[0].CompileOk) {
     std::fprintf(stderr, "[%s] compilation failed:\n%s\n", Title,
-                 R.error().str().c_str());
+                 Out[0].CompileError.c_str());
     return false;
   }
-  bedrock::Module Linked;
-  Linked.Functions.push_back(R->Fn);
-  Status V = validate::validate(Model, Spec, *R, Linked, VOpts);
-  if (!V) {
-    std::fprintf(stderr, "[%s] validation failed:\n%s\n", Title,
-                 V.error().str().c_str());
+  if (!Out[0].ok()) {
+    std::fprintf(stderr, "[%s] certification failed:\n%s\n", Title,
+                 Out[0].ValidationError.c_str());
     return false;
   }
-  std::printf("=== %s ===\n%s\n", Title, R->Fn.str().c_str());
+  std::printf("=== %s ===\n%s\n", Title, Out[0].Compiled.Fn.str().c_str());
   return true;
 }
 

@@ -14,15 +14,18 @@
 //      ("users never have to guess ... they can learn the shape of
 //      missing lemmas from the goals printed"),
 //   3. register the writer rule (one object) and recompile: the model now
-//      derives, and validation checks the writer lift — accumulated
-//      output equals the target trace's write events.
+//      derives. The pipeline then certifies the model with all five
+//      layers; its differential layer checks the writer lift —
+//      accumulated output equals the target trace's write events. The
+//      pipeline compiles with the standard rules, so the example also
+//      checks that they derive the same function and witness as the
+//      hand-extended compiler.
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Compiler.h"
 #include "core/rules/Rules.h"
 #include "ir/Build.h"
-#include "validate/Validate.h"
+#include "pipeline/Pipeline.h"
 
 #include <cstdio>
 
@@ -81,14 +84,24 @@ int main() {
   std::printf("=== after registering compile_writer_tell ===\n%s\n",
               Ok->Fn.str().c_str());
 
-  bedrock::Module Linked;
-  Linked.Functions.push_back(Ok->Fn);
-  Status V = validate::validate(Model, Spec, *Ok, Linked);
-  if (!V) {
-    std::fprintf(stderr, "validation failed:\n%s\n", V.error().str().c_str());
+  programs::ProgramDef Def;
+  Def.Name = "emit3";
+  Def.Model = Model;
+  Def.Spec = Spec;
+  std::vector<pipeline::ProgramOutcome> Out =
+      pipeline::certifyPrograms({&Def}, {});
+  if (!Out[0].ok()) {
+    std::fprintf(stderr, "certification failed:\n%s%s\n",
+                 Out[0].CompileError.c_str(), Out[0].ValidationError.c_str());
     return 1;
   }
-  std::printf("validated: accumulated writer output == target write "
+  if (Out[0].Compiled.Fn.str() != Ok->Fn.str() ||
+      Out[0].Compiled.Proof->str() != Ok->Proof->str()) {
+    std::fprintf(stderr, "the standard rules derived a different function "
+                         "or witness than the extended compiler\n");
+    return 1;
+  }
+  std::printf("certified: accumulated writer output == target write "
               "events, sum == k + 2k + 3k.\n");
   return 0;
 }

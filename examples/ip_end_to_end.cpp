@@ -17,7 +17,7 @@
 
 #include "cgen/CEmit.h"
 #include "ir/Interp.h"
-#include "programs/Programs.h"
+#include "pipeline/Pipeline.h"
 #include "support/Rng.h"
 
 #include <cstdio>
@@ -78,19 +78,24 @@ int main() {
               Checked);
 
   // Step 2+3: relational compilation and certification.
-  Result<programs::CompiledProgram> C = programs::compileAndValidate(*P);
-  if (!C) {
-    std::fprintf(stderr, "pipeline failed:\n%s\n", C.error().str().c_str());
+  std::vector<pipeline::ProgramOutcome> Out =
+      pipeline::certifyPrograms({P}, {});
+  const pipeline::ProgramOutcome &C = Out[0];
+  if (!C.ok()) {
+    std::fprintf(stderr, "pipeline failed:\n%s%s\n", C.CompileError.c_str(),
+                 C.ValidationError.c_str());
     return 1;
   }
   std::printf("step 2: derived \"%s\" (%u statements, derivation of %u "
               "rule applications)\n",
-              P->Spec.TargetName.c_str(), C->Result.EmittedStmts,
-              C->Result.Proof->size());
-  std::printf("step 3: witness replayed and differentially certified\n\n");
+              P->Spec.TargetName.c_str(), C.Compiled.EmittedStmts,
+              C.Compiled.Proof->size());
+  std::printf("step 3: witness replayed, analyzed, translation-validated "
+              "(%s), codelinted (%s), and differentially tested\n\n",
+              C.TvVerdictName.c_str(), C.CodelintVerdictName.c_str());
 
   // Step 4: the generated C (what ships).
-  Result<std::string> Code = cgen::emitFunction(C->Result.Fn);
+  Result<std::string> Code = cgen::emitFunction(C.Compiled.Fn);
   std::printf("%s%s", cgen::cPrelude().c_str(),
               Code ? Code->c_str() : Code.error().str().c_str());
   return 0;

@@ -10,19 +10,20 @@
 //   1. write the annotated functional model of upstr (lowered Gallina:
 //      a let/n chain over ListArray.map with the toupper' bit trick),
 //   2. declare the ABI (the fnspec: pointer + length, updated in place),
-//   3. run the relational compiler — proof search over the rule library —
-//      getting a Bedrock2-like function *and* a derivation witness,
-//   4. replay the witness and differentially certify against the model,
-//   5. pretty-print to C, and run the target semantics on a sample.
+//   3. certify it through the pipeline: the relational compiler — proof
+//      search over the rule library — yields a Bedrock2-like function
+//      *and* a derivation witness, which five layers then check (witness
+//      replay, static analysis, translation validation, codelint, and
+//      differential testing against the model),
+//   4. pretty-print to C, and run the target semantics on a sample.
 //
 // Build and run:  ./build/examples/quickstart
 //
 //===----------------------------------------------------------------------===//
 
 #include "cgen/CEmit.h"
-#include "core/Compiler.h"
 #include "ir/Build.h"
-#include "validate/Validate.h"
+#include "pipeline/Pipeline.h"
 
 #include <cstdio>
 
@@ -32,6 +33,8 @@ using namespace relc::ir;
 int main() {
   // 1. The functional model. The name reuse in `let/n s := map ... s`
   //    tells the compiler to mutate the array in place.
+  programs::ProgramDef Def;
+  Def.Name = "upstr";
   ExprPtr B = b2w(v("b"));
   ExprPtr Toupper =
       w2b(select(ltu(subw(B, cw('a')), cw(26)), andw(B, cw(0x5f)), B));
@@ -39,42 +42,39 @@ int main() {
   FB.listParam("s", EltKind::U8).wordParam("len");
   ProgBuilder Body;
   Body.let("s", mkMap("s", "b", Toupper));
-  SourceFn Model = std::move(FB).done(std::move(Body).ret({"s"}));
+  Def.Model = std::move(FB).done(std::move(Body).ret({"s"}));
 
-  std::printf("=== functional model ===\n%s\n", Model.str().c_str());
+  std::printf("=== functional model ===\n%s\n", Def.Model.str().c_str());
 
   // 2. The ABI: how the low-level program is called (§3.2's fnspec).
-  sep::FnSpec Spec("upstr");
-  Spec.arrayArg("s").lenArg("len", "s").retInPlace("s");
-  std::printf("=== fnspec ===\n%s\n", Spec.str().c_str());
+  Def.Spec = sep::FnSpec("upstr");
+  Def.Spec.arrayArg("s").lenArg("len", "s").retInPlace("s");
+  std::printf("=== fnspec ===\n%s\n", Def.Spec.str().c_str());
 
-  // 3. Relational compilation.
-  core::Compiler Compiler;
-  Result<core::CompileResult> R = Compiler.compileFn(Model, Spec);
-  if (!R) {
-    std::fprintf(stderr, "compilation failed:\n%s\n",
-                 R.error().str().c_str());
+  // 3. Relational compilation and certification, every layer on.
+  std::vector<pipeline::ProgramOutcome> Outcomes =
+      pipeline::certifyPrograms({&Def}, {});
+  const pipeline::ProgramOutcome &O = Outcomes[0];
+  if (!O.CompileOk) {
+    std::fprintf(stderr, "compilation failed:\n%s\n", O.CompileError.c_str());
     return 1;
   }
   std::printf("=== derived Bedrock2 function ===\n%s\n",
-              R->Fn.str().c_str());
+              O.Compiled.Fn.str().c_str());
   std::printf("=== derivation witness (%u rule applications) ===\n%s\n",
-              R->Proof->size(), R->Proof->str().c_str());
-
-  // 4. Certification: derivation replay + differential testing.
-  bedrock::Module Linked;
-  Linked.Functions.push_back(R->Fn);
-  Status V = validate::validate(Model, Spec, *R, Linked);
-  if (!V) {
-    std::fprintf(stderr, "validation failed:\n%s\n", V.error().str().c_str());
+              O.Compiled.Proof->size(), O.Compiled.Proof->str().c_str());
+  if (!O.ok()) {
+    std::fprintf(stderr, "certification failed:\n%s\n",
+                 O.ValidationError.c_str());
     return 1;
   }
-  std::printf("=== validation: witness replayed, %s differentially "
-              "certified ===\n\n",
-              Spec.TargetName.c_str());
+  std::printf("=== certified: witness replayed, analysis clean, tv %s, "
+              "codelint %s, %s differentially tested ===\n\n",
+              O.TvVerdictName.c_str(), O.CodelintVerdictName.c_str(),
+              Def.Spec.TargetName.c_str());
 
-  // 5. C output.
-  Result<std::string> C = cgen::emitFunction(R->Fn);
+  // 4. C output.
+  Result<std::string> C = cgen::emitFunction(O.Compiled.Fn);
   std::printf("=== pretty-printed C ===\n%s%s\n", cgen::cPrelude().c_str(),
               C ? C->c_str() : C.error().str().c_str());
 
@@ -85,7 +85,7 @@ int main() {
   bedrock::Word Base = St.Mem.alloc(Bytes.size());
   (void)St.Mem.fill(Base, Bytes);
   bedrock::TapeEnv Env;
-  bedrock::Interp Interp(Linked, Env);
+  bedrock::Interp Interp(O.Linked, Env);
   Result<std::vector<bedrock::Word>> Rets =
       Interp.callFunction(St, "upstr", {Base, Bytes.size()});
   if (!Rets) {

@@ -11,6 +11,7 @@
 #include "analysis/Dataflow.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -113,6 +114,22 @@ std::string stmtStr(const CfgStmt &S) {
   while (!Out.empty() && (Out.back() == '\n' || Out.back() == ' '))
     Out.pop_back();
   return Out;
+}
+
+/// Calls \p Fn for every variable whose value can flow into \p E's result.
+/// Unlike bedrock::forEachVar, it does not descend into a Load's address
+/// or a TableGet's index: those only select the word that is read, and a
+/// loaded word is memory contents. For memory to hold a stackalloc
+/// pointer, an earlier store must have written it, and that store is
+/// flagged itself.
+void forEachValueVar(const Expr &E,
+                     const std::function<void(const std::string &)> &Fn) {
+  if (const auto *V = dyn_cast<Var>(&E)) {
+    Fn(V->name());
+  } else if (const auto *B = dyn_cast<Bin>(&E)) {
+    forEachValueVar(*B->lhs(), Fn);
+    forEachValueVar(*B->rhs(), Fn);
+  }
 }
 
 uint64_t satAdd(uint64_t A, uint64_t B) {
@@ -326,7 +343,7 @@ private:
         CurStmt = &St;
         if (St.K == CfgStmt::Kind::Simple)
           if (const auto *Str = dyn_cast<Store>(St.C))
-            forEachVar(*Str->value(), [&](const std::string &V) {
+            forEachValueVar(*Str->value(), [&](const std::string &V) {
               if (ScopedPtr(S, V)) {
                 Unsafe = true;
                 finding("frame-escape", St.Path,

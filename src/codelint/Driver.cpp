@@ -14,15 +14,15 @@ ProgramLint lintProgram(const programs::ProgramDef &P,
                         const guard::Budget *Budget) {
   ProgramLint L;
   L.Name = P.Name;
-  Result<programs::CompiledProgram> C =
-      programs::compileAndValidate(P, /*RunValidation=*/false);
-  if (!C) {
-    L.CompileError = C.error().str();
+  core::Compiler C;
+  Result<core::CompileResult> R = C.compileFn(P.Model, P.Spec, P.Hints);
+  if (!R) {
+    L.CompileError =
+        R.takeError().note("while compiling program " + P.Name).str();
     return L;
   }
   L.CompileOk = true;
-  L.R = analyzeFunction(C->Result.Fn, P.Spec, P.Model, P.Hints.EntryFacts,
-                        Budget);
+  L.R = analyzeFunction(R->Fn, P.Spec, P.Model, P.Hints.EntryFacts, Budget);
   return L;
 }
 

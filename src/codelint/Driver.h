@@ -37,8 +37,8 @@ struct ProgramLint {
   Report R;
 };
 
-/// Compiles \p P (validation off — codelint is a static layer) and runs the
-/// three analyses over the emitted Bedrock2 function.
+/// Compiles \p P (no other layer runs — codelint is a static layer) and
+/// runs the three analyses over the emitted Bedrock2 function.
 ProgramLint lintProgram(const programs::ProgramDef &P,
                         const guard::Budget *Budget = nullptr);
 

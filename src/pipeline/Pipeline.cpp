@@ -17,31 +17,11 @@
 #include "support/StringExtras.h"
 #include "validate/Validate.h"
 
-#include <chrono>
-
 namespace relc {
 namespace pipeline {
 
 using hash::fnv1a64;
 using hash::hex16;
-
-namespace {
-
-double millisSince(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - T0)
-      .count();
-}
-
-/// Runs \p Fn, recording its wall time into \p L.
-template <typename FnT> void timed(LayerRun &L, FnT &&Fn) {
-  auto T0 = std::chrono::steady_clock::now();
-  Fn();
-  L.Millis = millisSince(T0);
-  L.Ran = true;
-}
-
-} // namespace
 
 bool ProgramOutcome::ok() const {
   if (!CompileOk)
@@ -175,15 +155,98 @@ bool entryCovers(const CertEntry &E, const PipelineOptions &Opts) {
   return true;
 }
 
-/// One-line rejection text for a failed codelint layer: the overall
-/// verdict plus the first finding (each finding carries its stable
-/// kebab-case reason).
-std::string codelintRejection(const codelint::Report &R) {
+//===----------------------------------------------------------------------===//
+// Failure texts. Every rejection a program can get is rendered here, in
+// the one sequencer; tests pin the exact texts (PipelineTest).
+//===----------------------------------------------------------------------===//
+
+/// The static-analysis rejection: a summary line, then every diagnostic.
+Error analysisRejection(const std::string &TargetName,
+                        const analysis::AnalysisReport &Report) {
+  Error E("static analysis of target '" + TargetName + "' found " +
+          std::to_string(Report.numErrors()) + " error(s) and " +
+          std::to_string(Report.numWarnings()) + " warning(s)");
+  for (const analysis::Diagnostic &D : Report.Diags)
+    E.note(D.str());
+  return E;
+}
+
+/// The translation-validation rejection: the refutation, then every
+/// output that did not match, with its source binding and target path.
+Error tvRejection(const tv::TvReport &Rep) {
+  Error E("translation validation refuted '" + Rep.Fn + "': " + Rep.Reason);
+  for (const tv::OutputRecord &O : Rep.Outputs)
+    if (!O.Matched)
+      E.note("output '" + O.Name + "' [" + O.Kind + "]: model " + O.SrcTerm +
+             (O.SourceBinding.empty() ? "" : " (" + O.SourceBinding + ")") +
+             " vs target " + O.TgtTerm +
+             (O.TargetPath.empty() ? "" : " (at " + O.TargetPath + ")"));
+  return E;
+}
+
+/// The codelint rejection: the overall verdict plus the first finding
+/// (each finding carries its stable kebab-case reason).
+Error codelintRejection(const codelint::Report &R) {
   std::string Why =
       "codelint verdict " + std::string(codelint::verdictName(R.overall()));
   if (!R.Findings.empty())
     Why += ": " + R.Findings.front().str();
-  return Why;
+  return Error(Why).note("codelint rejected the emitted code");
+}
+
+/// A layer that did not run renders the fault that stopped it.
+Error didNotRun(const LayerRun &L, const std::string &What) {
+  return Error(L.FaultNote).note(What + " did not run");
+}
+
+/// The layer-entry fault probe. Transient hits are absorbed by the retry
+/// allowance; a persistent one makes \p L a named Degraded outcome
+/// (never a hang, never a poisoned sibling) and returns true: the layer
+/// must not run.
+bool faultedAtEntry(LayerRun &L, fault::Site Site, const std::string &Key) {
+  std::optional<fault::Hit> H = fault::fireWithRetry(Site, Key);
+  if (!H)
+    return false;
+  L.Ran = true;
+  L.Ok = false;
+  L.Degraded = true;
+  L.FaultNote = H->describe();
+  return true;
+}
+
+/// Records \p E as \p O's failure unless an earlier layer already did.
+void recordFailure(ProgramOutcome &O, Error E) {
+  if (O.ValidationError.empty())
+    O.ValidationError =
+        E.note("while validating program " + O.Def->Name).str();
+}
+
+/// The first failed static layer's failure, in the fixed analysis -> tv
+/// -> codelint order, or nullopt when none failed. The differential job
+/// renders it with \p Validating set: analysis and tv rejections then
+/// name their layer in a note. The certify job renders it when layer 4 is
+/// off, without that note.
+std::optional<Error> staticFailure(const ProgramOutcome &O, bool Validating) {
+  auto Failed = [](const LayerRun &L) { return L.Enabled && L.Ran && !L.Ok; };
+  if (Failed(O.Analysis)) {
+    if (!O.Analysis.FaultNote.empty())
+      return didNotRun(O.Analysis, "static analysis");
+    Error E = analysisRejection(O.Compiled.Fn.Name, O.AReport);
+    return Validating ? E.note("static analysis rejected the target") : E;
+  }
+  if (Failed(O.Tv)) {
+    if (!O.Tv.FaultNote.empty())
+      return didNotRun(O.Tv, "translation validation");
+    Error E = tvRejection(O.TvRep);
+    return Validating ? E.note("translation validation rejected the target")
+                      : E;
+  }
+  if (Failed(O.Codelint)) {
+    if (!O.Codelint.FaultNote.empty())
+      return didNotRun(O.Codelint, "codelint");
+    return codelintRejection(O.ClReport);
+  }
+  return std::nullopt;
 }
 
 /// Fills \p O's layer fields from a cached verdict.
@@ -240,13 +303,11 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
     O.Codelint.Enabled = Opts.Codelint;
     O.Diff.Enabled = Opts.Validate;
 
-    // Per-job validation options: what validate::validate would see.
-    // (Copied per program so concurrent jobs never share mutable state.)
-    // Suite-level budget overrides apply here, so the options hash and
-    // every layer agree on the effective budgets.
+    // Per-job validation options, copied per program so concurrent jobs
+    // never share mutable state. Suite-level budget overrides apply here,
+    // so the options hash and every layer agree on the effective budgets.
     auto MakeVOpts = [P, &Opts]() {
       validate::ValidationOptions VO = P->VOpts;
-      VO.Hints = P->Hints;
       if (Opts.LayerTimeoutMs)
         VO.LayerTimeoutMs = Opts.LayerTimeoutMs;
       if (Opts.TvStepBudget)
@@ -258,11 +319,9 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
     JobId JCompile = Jobs[I].Compile =
         G.add(P->Name + "/compile", [&O, &CS, &Cache, &Opts, P, &Tamper,
                                      MakeVOpts] {
-      auto T0 = std::chrono::steady_clock::now();
       core::Compiler C;
       Result<core::CompileResult> R = C.compileFn(P->Model, P->Spec,
                                                   P->Hints);
-      O.CompileMillis = millisSince(T0);
       if (!R) {
         O.CompileError =
             R.takeError().note("while compiling program " + P->Name).str();
@@ -283,136 +342,103 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
       }
     });
 
-    //--- The three static layers: independent once the code is emitted.
-    // Each starts with a layer-entry fault probe: transient hits are
-    // absorbed by the retry allowance, a persistent one makes the layer a
-    // named Degraded outcome (never a hang, never a poisoned sibling).
+    //--- The static layers: independent once the code is emitted. Each
+    // starts with the layer-entry fault probe. Only replay renders its own
+    // failure; the others are rendered downstream, in fixed layer order.
     std::vector<JobId> StaticJobs;
     if (Opts.Validate)
       StaticJobs.push_back(Jobs[I].Replay = G.add(P->Name + "/replay", [&O] {
         if (!O.CompileOk || O.CacheHit)
           return;
-        if (auto H = fault::fireWithRetry(fault::Site::LayerEntry,
-                                          O.Def->Name + "/replay")) {
-          O.Replay.Ran = true;
-          O.Replay.Ok = false;
-          O.Replay.Degraded = true;
-          O.Replay.FaultNote = H->describe();
-          if (O.ValidationError.empty())
-            O.ValidationError = Error(H->describe())
-                                    .note("derivation replay did not run")
-                                    .note("while validating program " +
-                                          O.Def->Name)
-                                    .str();
+        if (faultedAtEntry(O.Replay, fault::Site::LayerEntry,
+                           O.Def->Name + "/replay")) {
+          recordFailure(O, didNotRun(O.Replay, "derivation replay"));
           return;
         }
-        timed(O.Replay, [&] {
-          Status S = validate::replayDerivation(O.Def->Model, O.Compiled);
-          O.Replay.Ok = bool(S);
-          if (!S && O.ValidationError.empty())
-            O.ValidationError =
-                S.takeError()
-                    .note("derivation replay rejected the witness")
-                    .note("while validating program " + O.Def->Name)
-                    .str();
-        });
+        Status S = validate::replayDerivation(O.Def->Model, O.Compiled);
+        O.Replay.Ok = bool(S);
+        if (!S)
+          recordFailure(O, S.takeError().note(
+                               "derivation replay rejected the witness"));
+        O.Replay.Ran = true;
       }, {JCompile}));
 
     if (Opts.Analyze)
       StaticJobs.push_back(Jobs[I].Analysis =
                                G.add(P->Name + "/analysis", [&O, MakeVOpts] {
-        if (!O.CompileOk || O.CacheHit)
+        if (!O.CompileOk || O.CacheHit ||
+            faultedAtEntry(O.Analysis, fault::Site::LayerEntry,
+                           O.Def->Name + "/analysis"))
           return;
-        if (auto H = fault::fireWithRetry(fault::Site::LayerEntry,
-                                          O.Def->Name + "/analysis")) {
-          O.Analysis.Ran = true;
-          O.Analysis.Ok = false;
-          O.Analysis.Degraded = true;
-          O.Analysis.FaultNote = H->describe();
-          return; // Rendering happens downstream, in fixed layer order.
-        }
-        timed(O.Analysis, [&] {
-          validate::ValidationOptions VO = MakeVOpts();
-          std::optional<guard::Budget> B;
-          if (VO.LayerTimeoutMs)
-            B.emplace(VO.LayerTimeoutMs, /*StepLimit=*/0);
-          O.AReport = analysis::analyzeProgram(
-              O.Compiled.Fn, O.Def->Spec, O.Def->Model,
-              O.Def->Hints.EntryFacts, B ? &*B : nullptr);
-          O.AnalysisWarnings = O.AReport.numWarnings();
-          O.Analysis.Ok = !O.AReport.hasErrors();
-          O.Analysis.Degraded = O.AReport.BudgetExhausted;
-          for (const analysis::Diagnostic &D : O.AReport.Diags)
-            O.AnalysisDiags +=
-                (O.AnalysisDiags.empty() ? "" : "\n") + D.str();
-        });
+        validate::ValidationOptions VO = MakeVOpts();
+        std::optional<guard::Budget> B;
+        if (VO.LayerTimeoutMs)
+          B.emplace(VO.LayerTimeoutMs, /*StepLimit=*/0);
+        O.AReport = analysis::analyzeProgram(
+            O.Compiled.Fn, O.Def->Spec, O.Def->Model,
+            O.Def->Hints.EntryFacts, B ? &*B : nullptr);
+        // Errors fail certification; warnings (dead stores, unreachable
+        // code) do not — they can be faithful images of a model's own dead
+        // lets or decided branches. relc-lint is the strict gate.
+        O.AnalysisWarnings = O.AReport.numWarnings();
+        O.Analysis.Ok = !O.AReport.hasErrors();
+        O.Analysis.Degraded = O.AReport.BudgetExhausted;
+        for (const analysis::Diagnostic &D : O.AReport.Diags)
+          O.AnalysisDiags += (O.AnalysisDiags.empty() ? "" : "\n") + D.str();
+        O.Analysis.Ran = true;
       }, {JCompile}));
 
     if (Opts.Tv)
       StaticJobs.push_back(Jobs[I].Tv = G.add(P->Name + "/tv",
                                               [&O, MakeVOpts] {
-        if (!O.CompileOk || O.CacheHit)
+        if (!O.CompileOk || O.CacheHit ||
+            faultedAtEntry(O.Tv, fault::Site::LayerEntry,
+                           O.Def->Name + "/tv"))
           return;
-        if (auto H = fault::fireWithRetry(fault::Site::LayerEntry,
-                                          O.Def->Name + "/tv")) {
-          O.Tv.Ran = true;
-          O.Tv.Ok = false;
-          O.Tv.Degraded = true;
-          O.Tv.FaultNote = H->describe();
-          return; // Rendering happens downstream, in fixed layer order.
-        }
-        timed(O.Tv, [&] {
-          validate::ValidationOptions VO = MakeVOpts();
-          std::optional<guard::Budget> B;
-          if (VO.LayerTimeoutMs || VO.TvStepBudget)
-            B.emplace(VO.LayerTimeoutMs, VO.TvStepBudget);
-          O.TvRep = tv::validateTranslation(
-              O.Def->Model, O.Def->Spec, O.Compiled.Fn,
-              O.Def->Hints.EntryFacts, B ? &*B : nullptr);
-          // Budget exhaustion surfaces as Inconclusive: Ok (the fragment
-          // gate is deliberate) but Degraded — never cached, and the
-          // differential layer still runs and carries the certification.
-          O.Tv.Ok = !O.TvRep.refuted();
-          O.Tv.Degraded = O.TvRep.BudgetExhausted;
-          O.TvVerdictName = tv::verdictName(O.TvRep.TheVerdict);
-          O.TvLoops = O.TvRep.Loops.size();
-          O.TvTerms = O.TvRep.NumTerms;
-          // The certificate JSON is assembled downstream in the certify
-          // job, where the codelint layer's record (if any) can be merged
-          // in as the optional "codelint" section.
-        });
+        validate::ValidationOptions VO = MakeVOpts();
+        std::optional<guard::Budget> B;
+        if (VO.LayerTimeoutMs || VO.TvStepBudget)
+          B.emplace(VO.LayerTimeoutMs, VO.TvStepBudget);
+        O.TvRep = tv::validateTranslation(
+            O.Def->Model, O.Def->Spec, O.Compiled.Fn,
+            O.Def->Hints.EntryFacts, B ? &*B : nullptr);
+        // Only a refuted equivalence fails: it is a static proof of a
+        // miscompilation. Inconclusive (outside the validated fragment, or
+        // budget exhaustion) is Ok; the differential layer still runs and
+        // carries the certification. An exhausted budget is also Degraded,
+        // so the verdict is never cached.
+        O.Tv.Ok = !O.TvRep.refuted();
+        O.Tv.Degraded = O.TvRep.BudgetExhausted;
+        O.TvVerdictName = tv::verdictName(O.TvRep.TheVerdict);
+        O.TvLoops = O.TvRep.Loops.size();
+        O.TvTerms = O.TvRep.NumTerms;
+        // The certificate JSON is assembled downstream in the certify
+        // job, where the codelint layer's record (if any) can be merged
+        // in as the optional "codelint" section.
+        O.Tv.Ran = true;
       }, {JCompile}));
 
     if (Opts.Codelint)
       StaticJobs.push_back(Jobs[I].Codelint =
                                G.add(P->Name + "/codelint", [&O, MakeVOpts] {
-        if (!O.CompileOk || O.CacheHit)
+        if (!O.CompileOk || O.CacheHit ||
+            faultedAtEntry(O.Codelint, fault::Site::CodelintEntry,
+                           O.Def->Name + "/codelint"))
           return;
-        if (auto H = fault::fireWithRetry(fault::Site::CodelintEntry,
-                                          O.Def->Name + "/codelint")) {
-          O.Codelint.Ran = true;
-          O.Codelint.Ok = false;
-          O.Codelint.Degraded = true;
-          O.Codelint.FaultNote = H->describe();
-          return; // Rendering happens downstream, in fixed layer order.
-        }
-        timed(O.Codelint, [&] {
-          validate::ValidationOptions VO = MakeVOpts();
-          std::optional<guard::Budget> B;
-          if (VO.LayerTimeoutMs)
-            B.emplace(VO.LayerTimeoutMs, /*StepLimit=*/0);
-          O.ClReport = codelint::analyzeFunction(
-              O.Compiled.Fn, O.Def->Spec, O.Def->Model,
-              O.Def->Hints.EntryFacts, B ? &*B : nullptr);
-          O.CodelintVerdictName =
-              codelint::verdictName(O.ClReport.overall());
-          // The pipeline gate is refutation-shaped: only a demonstrated
-          // violation (Unsafe) fails certification. Unknown passes here —
-          // the strict all-Safe gate is relc-lint --code.
-          O.Codelint.Ok =
-              O.ClReport.overall() != codelint::Verdict::Unsafe;
-          O.Codelint.Degraded = O.ClReport.BudgetExhausted;
-        });
+        validate::ValidationOptions VO = MakeVOpts();
+        std::optional<guard::Budget> B;
+        if (VO.LayerTimeoutMs)
+          B.emplace(VO.LayerTimeoutMs, /*StepLimit=*/0);
+        O.ClReport = codelint::analyzeFunction(
+            O.Compiled.Fn, O.Def->Spec, O.Def->Model,
+            O.Def->Hints.EntryFacts, B ? &*B : nullptr);
+        O.CodelintVerdictName = codelint::verdictName(O.ClReport.overall());
+        // The pipeline gate is refutation-shaped: only a demonstrated
+        // violation (Unsafe) fails certification. Unknown passes here —
+        // the strict all-Safe gate is relc-lint --code.
+        O.Codelint.Ok = O.ClReport.overall() != codelint::Verdict::Unsafe;
+        O.Codelint.Degraded = O.ClReport.BudgetExhausted;
+        O.Codelint.Ran = true;
       }, {JCompile}));
 
     //--- Differential certification: after every static layer passed.
@@ -424,94 +450,31 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
                                    [&O, MakeVOpts] {
         if (!O.CompileOk || O.CacheHit)
           return;
-        // Match serial validate(): differential runs only when every
-        // enabled static layer passed. Error reporting keeps the fixed
-        // layer order (replay > analysis > tv), so an analysis failure
-        // that raced ahead of a replay failure never wins. A layer that
-        // was fault-degraded at entry renders its FaultNote here instead
-        // of a nonsensical rejection of an empty report.
+        // Differential runs only when every enabled static layer passed.
+        // Failures keep the fixed layer order (replay > analysis > tv >
+        // codelint), so an analysis failure that raced ahead of a replay
+        // failure never wins; replay rendered its own.
         if (O.Replay.Enabled && !O.Replay.Ok)
           return;
-        if (O.Analysis.Enabled && !O.Analysis.Ok) {
-          if (O.ValidationError.empty()) {
-            if (!O.Analysis.FaultNote.empty())
-              O.ValidationError =
-                  Error(O.Analysis.FaultNote)
-                      .note("static analysis did not run")
-                      .note("while validating program " + O.Def->Name)
-                      .str();
-            else
-              O.ValidationError =
-                  validate::analysisRejection(O.Compiled.Fn.Name, O.AReport)
-                      .note("static analysis rejected the target")
-                      .note("while validating program " + O.Def->Name)
-                      .str();
-          }
+        if (std::optional<Error> E = staticFailure(O, /*Validating=*/true)) {
+          recordFailure(O, std::move(*E));
           return;
         }
-        if (O.Tv.Enabled && !O.Tv.Ok) {
-          if (O.ValidationError.empty()) {
-            if (!O.Tv.FaultNote.empty())
-              O.ValidationError =
-                  Error(O.Tv.FaultNote)
-                      .note("translation validation did not run")
-                      .note("while validating program " + O.Def->Name)
-                      .str();
-            else
-              O.ValidationError =
-                  validate::tvRejection(O.TvRep)
-                      .note("translation validation rejected the target")
-                      .note("while validating program " + O.Def->Name)
-                      .str();
-          }
+        if (faultedAtEntry(O.Diff, fault::Site::LayerEntry,
+                           O.Def->Name + "/differential")) {
+          recordFailure(O, didNotRun(O.Diff, "differential certification"));
           return;
         }
-        if (O.Codelint.Enabled && !O.Codelint.Ok) {
-          if (O.ValidationError.empty()) {
-            if (!O.Codelint.FaultNote.empty())
-              O.ValidationError =
-                  Error(O.Codelint.FaultNote)
-                      .note("codelint did not run")
-                      .note("while validating program " + O.Def->Name)
-                      .str();
-            else
-              O.ValidationError =
-                  Error(codelintRejection(O.ClReport))
-                      .note("codelint rejected the emitted code")
-                      .note("while validating program " + O.Def->Name)
-                      .str();
-          }
-          return;
-        }
-        if (auto H = fault::fireWithRetry(fault::Site::LayerEntry,
-                                          O.Def->Name + "/differential")) {
-          O.Diff.Ran = true;
-          O.Diff.Ok = false;
-          O.Diff.Degraded = true;
-          O.Diff.FaultNote = H->describe();
-          if (O.ValidationError.empty())
-            O.ValidationError =
-                Error(H->describe())
-                    .note("differential certification did not run")
-                    .note("while validating program " + O.Def->Name)
-                    .str();
-          return;
-        }
-        timed(O.Diff, [&] {
-          bool DiffBudgetOut = false;
-          Status S = validate::differentialCertify(O.Def->Model, O.Def->Spec,
-                                                   O.Compiled, O.Linked,
-                                                   MakeVOpts(),
-                                                   &DiffBudgetOut);
-          O.Diff.Ok = bool(S);
-          O.Diff.Degraded = DiffBudgetOut;
-          if (!S && O.ValidationError.empty())
-            O.ValidationError =
-                S.takeError()
-                    .note("differential certification failed")
-                    .note("while validating program " + O.Def->Name)
-                    .str();
-        });
+        bool DiffBudgetOut = false;
+        Status S = validate::differentialCertify(O.Def->Model, O.Def->Spec,
+                                                 O.Compiled, O.Linked,
+                                                 MakeVOpts(), &DiffBudgetOut);
+        O.Diff.Ok = bool(S);
+        O.Diff.Degraded = DiffBudgetOut;
+        if (!S)
+          recordFailure(
+              O, S.takeError().note("differential certification failed"));
+        O.Diff.Ran = true;
       }, DiffDeps);
 
     //--- Certificate store + per-program wrap-up.
@@ -535,37 +498,11 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
         O.TvCertJson = cert::Writer::write(C);
         O.TvCertBin = cert::BinWriter::write(C);
       }
-      // Render the non-validate failure texts (analysis/tv/codelint
-      // rejections when layer 4 is disabled and never got to render them).
-      if (O.CompileOk && !O.CacheHit && O.ValidationError.empty()) {
-        if (O.Analysis.Enabled && O.Analysis.Ran && !O.Analysis.Ok) {
-          if (!O.Analysis.FaultNote.empty())
-            O.ValidationError = Error(O.Analysis.FaultNote)
-                                    .note("static analysis did not run")
-                                    .str();
-          else
-            O.ValidationError =
-                validate::analysisRejection(O.Compiled.Fn.Name, O.AReport)
-                    .str();
-        } else if (O.Tv.Enabled && O.Tv.Ran && !O.Tv.Ok) {
-          if (!O.Tv.FaultNote.empty())
-            O.ValidationError = Error(O.Tv.FaultNote)
-                                    .note("translation validation did not run")
-                                    .str();
-          else
-            O.ValidationError = validate::tvRejection(O.TvRep).str();
-        } else if (O.Codelint.Enabled && O.Codelint.Ran && !O.Codelint.Ok) {
-          if (!O.Codelint.FaultNote.empty())
-            O.ValidationError = Error(O.Codelint.FaultNote)
-                                    .note("codelint did not run")
-                                    .str();
-          else
-            O.ValidationError =
-                Error(codelintRejection(O.ClReport))
-                    .note("codelint rejected the emitted code")
-                    .str();
-        }
-      }
+      // With layer 4 off, no differential job rendered the static
+      // failures: render the first one here.
+      if (O.CompileOk && !O.CacheHit && O.ValidationError.empty())
+        if (std::optional<Error> E = staticFailure(O, /*Validating=*/false))
+          O.ValidationError = E->str();
       // Degraded outcomes are never cached: a budget-truncated or
       // fault-shadowed verdict must be re-derived at full strength before
       // it can be reused (§4.7).
@@ -642,11 +579,8 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
       LJ.L->Ok = false;
       if (LJ.L->FaultNote.empty())
         LJ.L->FaultNote = std::string(LJ.What) + " job " + *W;
-      if (O.CompileOk && !O.CacheHit && O.ValidationError.empty())
-        O.ValidationError = Error(LJ.L->FaultNote)
-                                .note("while validating program " +
-                                      O.Def->Name)
-                                .str();
+      if (O.CompileOk && !O.CacheHit)
+        recordFailure(O, Error(LJ.L->FaultNote));
     }
     if (auto W = Problem(PJ.Certify))
       O.DegradedNote = "certify job " + *W;

@@ -5,8 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The suite-level certification driver behind relc-gen: for each program,
-// a dependency-aware job chain
+// The certification sequencer: the one place that puts the five layers
+// in order, for relc-gen, relc-lint, relcd, and every test and example
+// that certifies a program. For each program, a dependency-aware job
+// chain
 //
 //     compile ──> { derivation replay, static analysis, translation
 //                   validation, codelint } (independent once code exists)
@@ -23,11 +25,11 @@
 // terminal streams and artifacts. `-j 1` executes jobs inline in
 // submission order: exactly the pre-pipeline serial behavior.
 //
-// Error semantics match validate::validate: layers report in the fixed
-// order replay -> analysis -> tv -> codelint -> differential (a replay
-// failure wins even if analysis also failed in parallel), differential
-// only runs when every enabled static layer passed, and one program's
-// failure never blocks or poisons sibling programs.
+// Error semantics: layers report in the fixed order replay -> analysis ->
+// tv -> codelint -> differential (a replay failure wins even if analysis
+// also failed in parallel), differential only runs when every enabled
+// static layer passed, and one program's failure never blocks or poisons
+// sibling programs. Every failure text is rendered here.
 //
 //===----------------------------------------------------------------------===//
 
@@ -82,7 +84,6 @@ struct LayerRun {
   bool Ran = false;       ///< Executed live this run.
   bool FromCache = false; ///< Verdict reused from the certificate cache.
   bool Ok = false;        ///< Verdict (meaningful when Ran or FromCache).
-  double Millis = 0;      ///< Live execution time (0 when cached).
   /// The layer did not complete its real work: a guard::Budget ran out, an
   /// injected fault fired at its entry, or its job died at the scheduler
   /// boundary. Degraded outcomes are never cached, and with
@@ -106,12 +107,11 @@ struct ProgramOutcome {
   std::string CompileError;      ///< Rendered compile failure.
   core::CompileResult Compiled;  ///< Valid when CompileOk.
   bedrock::Module Linked;        ///< Single-function module for layer 4.
-  double CompileMillis = 0;
 
   LayerRun Replay, Analysis, Tv, Codelint, Diff;
 
-  /// First failing layer's rendered error, with the same note chain
-  /// validate::validate produces (so callers can print identical text).
+  /// First failing layer's rendered error: the layer's diagnostic, then
+  /// notes naming the layer and the program.
   std::string ValidationError;
 
   /// Live-run reports (valid when the layer's Ran flag is set).

@@ -32,10 +32,5 @@ const ProgramDef *findProgram(const std::string &Name) {
   return nullptr;
 }
 
-// compileAndValidate lives in CompileAndValidate.cpp: it calls
-// validate::validate, and keeping it out of the registry's translation
-// unit keeps the validator (and the TV driver behind it) out of binaries
-// that only enumerate programs — the independent checker in particular.
-
 } // namespace programs
 } // namespace relc

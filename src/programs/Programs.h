@@ -78,15 +78,6 @@ ProgramDef makeIpChecksum();
 ProgramDef makeFasta();
 ProgramDef makeCrc32();
 
-/// Compiles one program and runs the full validator; returns the result
-/// together with the single-function module it was linked into.
-struct CompiledProgram {
-  core::CompileResult Result;
-  bedrock::Module Linked;
-};
-Result<CompiledProgram> compileAndValidate(const ProgramDef &P,
-                                           bool RunValidation = true);
-
 /// The CRC-32 (IEEE, reflected, poly 0xEDB88320) lookup table, shared by
 /// the model, the reference implementation, and tests.
 const std::vector<uint64_t> &crc32Table();

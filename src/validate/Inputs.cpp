@@ -5,11 +5,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// In its own translation unit, apart from validate(): the benchmark
-// programs' custom generators call defaultInputs, so the program registry
-// drags this object into every binary that links it — which must not
-// also drag in validate() and, through it, the TV driver (the checker's
-// independence guarantee is enforced with nm over exactly this split).
+// In its own translation unit, apart from the layer primitives in
+// Validate.cpp: the benchmark programs' custom generators call
+// defaultInputs, so the program registry drags this object into every
+// binary that links it — which must not also drag in replayDerivation and
+// differentialCertify (the checker's independence guarantee is enforced
+// with nm over exactly this split).
 //
 //===----------------------------------------------------------------------===//
 

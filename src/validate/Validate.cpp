@@ -7,11 +7,9 @@
 
 #include "validate/Validate.h"
 
-#include "analysis/Analysis.h"
 #include "support/Budget.h"
 #include "support/Fault.h"
 #include "support/StringExtras.h"
-#include "tv/Tv.h"
 
 #include <algorithm>
 #include <set>
@@ -202,13 +200,14 @@ Status replayDerivation(const ir::SourceFn &Fn,
 }
 
 //===----------------------------------------------------------------------===//
-// Layers 2 and 3: static analysis + differential certification.
+// Layer 4: differential certification.
 //===----------------------------------------------------------------------===//
 
 // defaultInputs lives in Inputs.cpp: program definitions reference it
 // from their custom generators, and keeping it out of this translation
-// unit keeps the TV driver out of binaries that only link the program
-// registry (the independent checker's no-driver guarantee).
+// unit keeps the replay and differential layers out of binaries that only
+// link the program registry (the independent checker's no-producer
+// guarantee, asserted with nm).
 
 namespace {
 
@@ -559,83 +558,6 @@ Status differentialCertify(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
       }
     }
   }
-  return Status::success();
-}
-
-Error analysisRejection(const std::string &TargetName,
-                        const analysis::AnalysisReport &Report) {
-  Error E("static analysis of target '" + TargetName + "' found " +
-          std::to_string(Report.numErrors()) + " error(s) and " +
-          std::to_string(Report.numWarnings()) + " warning(s)");
-  for (const analysis::Diagnostic &D : Report.Diags)
-    E.note(D.str());
-  return E;
-}
-
-Status analyzeTarget(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
-                     const core::CompileResult &Compiled,
-                     const ValidationOptions &Opts) {
-  std::optional<guard::Budget> B;
-  if (Opts.LayerTimeoutMs)
-    B.emplace(Opts.LayerTimeoutMs, /*StepLimit=*/0);
-  analysis::AnalysisReport Report = analysis::analyzeProgram(
-      Compiled.Fn, Spec, Fn, Opts.Hints.EntryFacts, B ? &*B : nullptr);
-  // Certification fails on errors (unprovable bounds, uninitialized reads,
-  // non-convergence). Warnings — dead stores, unreachable branches — do
-  // not fail it: a model with a dead let or a statically-decided branch
-  // compiles to target code with the same shape, and that is a *faithful*
-  // translation; relc-lint is the strict gate for the curated suite.
-  if (Report.hasErrors())
-    return analysisRejection(Compiled.Fn.Name, Report);
-  return Status::success();
-}
-
-Error tvRejection(const tv::TvReport &Rep) {
-  Error E("translation validation refuted '" + Rep.Fn + "': " + Rep.Reason);
-  for (const tv::OutputRecord &O : Rep.Outputs)
-    if (!O.Matched)
-      E.note("output '" + O.Name + "' [" + O.Kind + "]: model " + O.SrcTerm +
-             (O.SourceBinding.empty() ? "" : " (" + O.SourceBinding + ")") +
-             " vs target " + O.TgtTerm +
-             (O.TargetPath.empty() ? "" : " (at " + O.TargetPath + ")"));
-  return E;
-}
-
-Status translationValidate(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
-                           const core::CompileResult &Compiled,
-                           const ValidationOptions &Opts) {
-  std::optional<guard::Budget> B;
-  if (Opts.LayerTimeoutMs || Opts.TvStepBudget)
-    B.emplace(Opts.LayerTimeoutMs, Opts.TvStepBudget);
-  tv::TvReport Rep = tv::validateTranslation(
-      Fn, Spec, Compiled.Fn, Opts.Hints.EntryFacts, B ? &*B : nullptr);
-  // Only a refuted equivalence fails certification: it is a static proof
-  // of a miscompilation. Inconclusive means the program is outside the
-  // validated fragment and the sampled layer carries the certification.
-  if (Rep.refuted())
-    return tvRejection(Rep);
-  return Status::success();
-}
-
-Status validate(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
-                const core::CompileResult &Compiled,
-                const bedrock::Module &Linked,
-                const ValidationOptions &Opts) {
-  Status Replay = replayDerivation(Fn, Compiled);
-  if (!Replay)
-    return Replay.takeError().note("derivation replay rejected the witness");
-  Status Analyze = analyzeTarget(Fn, Spec, Compiled, Opts);
-  if (!Analyze)
-    return Analyze.takeError().note("static analysis rejected the target");
-  if (Opts.RunTv) {
-    Status Tv = translationValidate(Fn, Spec, Compiled, Opts);
-    if (!Tv)
-      return Tv.takeError().note(
-          "translation validation rejected the target");
-  }
-  Status Diff = differentialCertify(Fn, Spec, Compiled, Linked, Opts);
-  if (!Diff)
-    return Diff.takeError().note("differential certification failed");
   return Status::success();
 }
 

@@ -5,10 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The trusted checker of the pipeline — the stand-in for Coq's kernel
-// accepting the generated proof term. The paper itself notes that Rupicola
-// can be classified as a translation-validation system (§5); this module
-// *is* that validator, in three layers:
+// The layer primitives of the trusted checker — the stand-in for Coq's
+// kernel accepting the generated proof term. The paper itself notes that
+// Rupicola can be classified as a translation-validation system (§5).
+// Five layers certify a program; pipeline::certifyPrograms
+// (pipeline/Pipeline.h) is the one sequencer that puts them in order and
+// renders their failures. Three are static and live in their own
+// libraries: static analysis (relc::analysis), translation validation
+// (relc::tv) and codelint (relc::codelint). This module holds the other
+// two:
 //
 //  1. Derivation replay: structural checks over the witness — every rule
 //     name must be in the trusted schema set, the emitted target function
@@ -16,23 +21,6 @@
 //     access in the source must have a recorded, solver-checked bounds
 //     side condition in the derivation (tampered witnesses are rejected;
 //     the failure-injection tests exercise this).
-//
-//  2. Static analysis of the generated code (relc::analysis): dataflow
-//     verification that every load/store is within the sep-logic frame
-//     the ABI grants, no local is read uninitialized, and the code is
-//     free of dead stores and unreachable branches. Unlike layer 4 this
-//     covers *all* inputs, not a sampled battery.
-//
-//  3. Translation validation (relc::tv): symbolic evaluation of model and
-//     generated code into one normalizing term graph, with loops matched
-//     as summarized folds. A Refuted verdict — the two sides provably
-//     compute different outputs — rejects the compilation outright, with
-//     the offending source binding and target statement path named. An
-//     Inconclusive verdict (program outside the validated fragment, e.g.
-//     effectful monads) is not a failure; certification then rests on
-//     the other layers. Proved covers functional correctness for *all*
-//     inputs, which neither layer 2 (safety only) nor layer 4 (sampled)
-//     establishes.
 //
 //  4. Differential certification against the ABI: for a battery of
 //     structured and random input vectors, run the model under the
@@ -50,13 +38,11 @@
 #ifndef RELC_VALIDATE_VALIDATE_H
 #define RELC_VALIDATE_VALIDATE_H
 
-#include "analysis/Analysis.h"
 #include "bedrock/Interp.h"
 #include "core/Compiler.h"
 #include "ir/Interp.h"
 #include "sep/Spec.h"
 #include "support/Result.h"
-#include "tv/Tv.h"
 
 #include <functional>
 #include <map>
@@ -94,13 +80,10 @@ struct ValidationOptions {
   /// Word models of external callees, used to give the source semantics of
   /// ExternCall bindings: callee name -> its SourceFn.
   std::map<std::string, const ir::SourceFn *> CalleeModels;
-  /// The hints the program was compiled with; analyzeTarget re-applies
-  /// them so the static analyzer sees the same entry facts the compiler
-  /// assumed (e.g. a minimum buffer length).
+  /// The hints the program was compiled with. No layer reads it (the
+  /// pipeline takes hints from programs::ProgramDef); kept because
+  /// perfbench assigns it.
   core::CompileHints Hints;
-  /// Run the symbolic translation validator (layer 3). On by default; a
-  /// Refuted verdict fails validation, Inconclusive does not.
-  bool RunTv = true;
 
   //===------------------------------------------------------------------===//
   // Robustness guards (DESIGN.md §4.7). Exhaustion of any of these maps
@@ -125,26 +108,6 @@ struct ValidationOptions {
 Status replayDerivation(const ir::SourceFn &Fn,
                         const core::CompileResult &Compiled);
 
-/// Layer 2: static certification of the generated code itself. Runs the
-/// relc::analysis dataflow verifier (initialization, intervals, symbolic
-/// bounds against the sep-logic frame) over the compiled function and
-/// rejects it on any analysis *error*: unprovable bounds, a potentially
-/// uninitialized read, or non-convergence. Warnings (dead stores,
-/// unreachable code) do not fail certification — they can be faithful
-/// images of a model's own dead lets or decided branches.
-Status analyzeTarget(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
-                     const core::CompileResult &Compiled,
-                     const ValidationOptions &Opts = {});
-
-/// Layer 3: symbolic translation validation (relc::tv). Returns failure
-/// only on a *refuted* equivalence — a statically proven miscompilation.
-/// Inconclusive verdicts succeed (the fragment gate is deliberate; the
-/// sampled layer still runs). The full report, including the equivalence
-/// certificate, is available through tv::validateTranslation directly.
-Status translationValidate(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
-                           const core::CompileResult &Compiled,
-                           const ValidationOptions &Opts = {});
-
 /// Layer 4: differential certification of \p Compiled (linked against
 /// \p Linked, which must contain every external callee) against \p Fn's
 /// reference semantics under ABI \p Spec.
@@ -162,28 +125,9 @@ Status differentialCertify(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
                            const ValidationOptions &Opts = {},
                            bool *BudgetExhausted = nullptr);
 
-/// All layers, in one fixed sequence: replay, static analysis, translation
-/// validation (when Opts.RunTv), differential testing. The first rejection
-/// is returned with a note naming its layer; later layers do not run. The
-/// suite pipeline (pipeline/Pipeline.h) runs the same order and adds the
-/// codelint layer.
-Status validate(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
-                const core::CompileResult &Compiled,
-                const bedrock::Module &Linked,
-                const ValidationOptions &Opts = {});
-
 /// Default input generator: random bytes/words sized by the hint.
 std::vector<ir::Value> defaultInputs(const ir::SourceFn &Fn, Rng &R,
                                      size_t SizeHint);
-
-/// Renders the layer-2 rejection for an analysis report with errors.
-/// Shared by analyzeTarget and the pipeline (pipeline/Pipeline.h) so both
-/// print byte-identical diagnostics.
-Error analysisRejection(const std::string &TargetName,
-                        const analysis::AnalysisReport &Report);
-
-/// Renders the layer-3 rejection for a refuted translation validation.
-Error tvRejection(const tv::TvReport &Rep);
 
 } // namespace validate
 } // namespace relc

@@ -27,14 +27,15 @@ TEST_P(SuiteCleanTest, AnalyzesWithZeroDiagnostics) {
   const programs::ProgramDef *P = programs::findProgram(GetParam());
   ASSERT_NE(P, nullptr);
 
-  // Compile only — validation would itself run the analyzer; this test
-  // wants the raw report.
-  Result<programs::CompiledProgram> C =
-      programs::compileAndValidate(*P, /*RunValidation=*/false);
+  // Compile only — certification would itself run the analyzer; this
+  // test wants the raw report.
+  core::Compiler Compiler;
+  Result<core::CompileResult> C =
+      Compiler.compileFn(P->Model, P->Spec, P->Hints);
   ASSERT_TRUE(bool(C)) << (C ? "" : C.error().str());
 
   analysis::AnalysisReport R = analysis::analyzeProgram(
-      C->Result.Fn, P->Spec, P->Model, P->Hints.EntryFacts);
+      C->Fn, P->Spec, P->Model, P->Hints.EntryFacts);
   EXPECT_TRUE(R.Diags.empty()) << R.str();
   EXPECT_FALSE(R.hasErrors());
   EXPECT_EQ(R.numWarnings(), 0u);

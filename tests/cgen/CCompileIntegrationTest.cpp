@@ -59,12 +59,13 @@ bool hostCompilerAvailable() {
 TEST(CCompileIntegrationTest, BenchmarkSuiteCompilesUnderHostCC) {
   if (!hostCompilerAvailable())
     GTEST_SKIP() << "no host C compiler";
+  core::Compiler Compiler;
   bedrock::Module M;
   for (const programs::ProgramDef &P : programs::allPrograms()) {
-    Result<programs::CompiledProgram> C =
-        programs::compileAndValidate(P, /*RunValidation=*/false);
+    Result<core::CompileResult> C =
+        Compiler.compileFn(P.Model, P.Spec, P.Hints);
     ASSERT_TRUE(bool(C)) << P.Name;
-    M.Functions.push_back(C->Result.Fn);
+    M.Functions.push_back(C->Fn);
   }
   Result<std::string> Code = cgen::emitModule(M);
   ASSERT_TRUE(bool(Code)) << Code.error().str();

@@ -139,11 +139,12 @@ TEST(CEmitTest, ModuleEmissionForwardDeclares) {
 TEST(CEmitTest, GeneratedSuiteStaysCompactAndPrintable) {
   // The whole benchmark suite emits, and each program's C stays in the
   // size class of handwritten code (no blowup from the derivation).
+  core::Compiler Compiler;
   for (const programs::ProgramDef &P : programs::allPrograms()) {
-    Result<programs::CompiledProgram> C =
-        programs::compileAndValidate(P, /*RunValidation=*/false);
+    Result<core::CompileResult> C =
+        Compiler.compileFn(P.Model, P.Spec, P.Hints);
     ASSERT_TRUE(bool(C)) << P.Name;
-    Result<std::string> Code = cgen::emitFunction(C->Result.Fn);
+    Result<std::string> Code = cgen::emitFunction(C->Fn);
     ASSERT_TRUE(bool(Code)) << P.Name << ": " << Code.error().str();
     unsigned Lines = 1;
     for (char Ch : *Code)

@@ -29,7 +29,7 @@
 #include "codelint/Driver.h"
 
 #include "bedrock/Interp.h"
-#include "programs/Programs.h"
+#include "pipeline/Pipeline.h"
 #include "stackm/StackMachine.h"
 
 #include <gtest/gtest.h>
@@ -40,13 +40,14 @@ using namespace relc::bedrock;
 
 namespace {
 
-/// Compiles suite program \p Name (validation off; these tests are about
+/// Compiles suite program \p Name (compile only; these tests are about
 /// the analyzer, not the compiler).
-programs::CompiledProgram compiled(const std::string &Name) {
+core::CompileResult compiled(const std::string &Name) {
   const programs::ProgramDef *P = programs::findProgram(Name);
   EXPECT_NE(P, nullptr) << Name;
-  Result<programs::CompiledProgram> C =
-      programs::compileAndValidate(*P, /*RunValidation=*/false);
+  core::Compiler Compiler;
+  Result<core::CompileResult> C =
+      Compiler.compileFn(P->Model, P->Spec, P->Hints);
   EXPECT_TRUE(bool(C)) << (C ? "" : C.error().str());
   return C.take();
 }
@@ -97,8 +98,8 @@ TEST(CodelintTest, StackExamplesProvedSafe) {
 
 TEST(CodelintTest, SeededOobStoreRejected) {
   // fnv1a with one extra store at s + len: one byte past the frame.
-  programs::CompiledProgram C = compiled("fnv1a");
-  Function Bad = C.Result.Fn;
+  core::CompileResult C = compiled("fnv1a");
+  Function Bad = C.Fn;
   Bad.Body = seqAll({Bad.Body, store(AccessSize::Byte,
                                      add(var("s"), var("len")), lit(0))});
   Report R = analyzeAs("fnv1a", Bad);
@@ -110,18 +111,66 @@ TEST(CodelintTest, SeededOobStoreRejected) {
 TEST(CodelintTest, SeededFrameEscapeRejected) {
   // fnv1a that replaces its hash result with a pointer into a stackalloc
   // frame — the scoped pointer escapes by being returned.
-  programs::CompiledProgram C = compiled("fnv1a");
-  Function Bad = C.Result.Fn;
+  core::CompileResult C = compiled("fnv1a");
+  Function Bad = C.Fn;
   Bad.Body = seqAll({Bad.Body, stackalloc("scr", 8, set("h", var("scr")))});
   Report R = analyzeAs("fnv1a", Bad);
   EXPECT_EQ(R.Mem, Verdict::Unsafe) << R.str();
   EXPECT_TRUE(hasFinding(R, "frame-escape")) << R.str();
 }
 
+TEST(CodelintTest, StoredLoadThroughStackPointerIsNotAnEscape) {
+  // t := copy(buf) compiles to `store8((t + 0)) = load8((buf + 0))`: the
+  // stored word is memory contents read through buf, not buf itself. The
+  // program certifies through the pipeline, every layer on, and codelint
+  // proves it Safe.
+  programs::ProgramDef Def;
+  Def.Name = "cpy";
+  ir::FnBuilder FB("cpy", ir::Monad::Pure);
+  FB.wordParam("x");
+  ir::ProgBuilder B;
+  B.let("buf", ir::mkStack({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}))
+      .let("t", ir::mkCopy("buf"))
+      .let("r", ir::b2w(ir::aget("t", ir::cw(0))));
+  Def.Model = std::move(FB).done(std::move(B).ret({"r"}));
+  Def.Spec = sep::FnSpec("cpy");
+  Def.Spec.scalarArg("x").retScalar("r");
+  std::vector<pipeline::ProgramOutcome> Ok =
+      pipeline::certifyPrograms({&Def}, {});
+  ASSERT_TRUE(Ok[0].ok()) << Ok[0].CompileError << Ok[0].ValidationError;
+  ASSERT_NE(Ok[0].Compiled.Fn.str().find("= load8((buf + 0))"),
+            std::string::npos)
+      << Ok[0].Compiled.Fn.str();
+  EXPECT_EQ(Ok[0].CodelintVerdictName, "safe");
+
+  // Storing the pointer itself, or an address derived from it, is still
+  // an escape.
+  pipeline::PipelineOptions OnlyCodelint;
+  OnlyCodelint.Validate = OnlyCodelint.Analyze = OnlyCodelint.Tv = false;
+  for (ExprPtr Leak : {var("buf"), add(var("buf"), lit(3))}) {
+    SCOPED_TRACE(Leak->str());
+    pipeline::TamperHook Tamper = [Leak](const programs::ProgramDef &,
+                                         core::CompileResult &R) {
+      R.Fn.Body = stackalloc(
+          "buf", 11,
+          stackalloc("t", 11,
+                     seqAll({store(AccessSize::Eight, var("t"), Leak),
+                             set("r", lit(0))})));
+    };
+    std::vector<pipeline::ProgramOutcome> Bad =
+        pipeline::certifyPrograms({&Def}, OnlyCodelint, nullptr, Tamper);
+    EXPECT_FALSE(Bad[0].ok());
+    EXPECT_EQ(Bad[0].CodelintVerdictName, "unsafe");
+    EXPECT_NE(Bad[0].ValidationError.find("[frame-escape]"),
+              std::string::npos)
+        << Bad[0].ValidationError;
+  }
+}
+
 TEST(CodelintTest, SeededUnboundedStackRejected) {
   // fnv1a that tail-calls itself: no bounded stack frame exists.
-  programs::CompiledProgram C = compiled("fnv1a");
-  Function Bad = C.Result.Fn;
+  core::CompileResult C = compiled("fnv1a");
+  Function Bad = C.Fn;
   Bad.Body =
       seqAll({Bad.Body, call({"h"}, "fnv1a", {var("s"), var("len")})});
   Report R = analyzeAs("fnv1a", Bad);
@@ -144,15 +193,17 @@ TEST(CodelintTest, SeededStackmUnderflowRejected) {
 //===----------------------------------------------------------------------===//
 
 TEST(CodelintTest, StepBoundDominatesInterpreterFuel) {
-  programs::CompiledProgram C = compiled("fnv1a");
-  Report R = analyzeAs("fnv1a", C.Result.Fn);
+  core::CompileResult C = compiled("fnv1a");
+  Report R = analyzeAs("fnv1a", C.Fn);
   ASSERT_EQ(R.Steps, Verdict::Safe) << R.str();
 
   std::vector<uint8_t> Input = {'r', 'e', 'l', 'c', '-', 'c', 'o', 'd',
                                 'e', 'l', 'i', 'n', 't', '!', '!', '!'};
+  Module Linked;
+  Linked.Functions.push_back(C.Fn);
   TapeEnv Env;
   Result<RunResult> Run = runFunction(
-      C.Linked, "fnv1a", {}, Env,
+      Linked, "fnv1a", {}, Env,
       [&](State &S, std::vector<Word> &Args) -> Status {
         Word Base = S.Mem.alloc(Input.size());
         if (Status F = S.Mem.fill(Base, Input); !F)
@@ -195,10 +246,10 @@ TEST(CodelintTest, OperandDepthDominatesObservedDepth) {
 //===----------------------------------------------------------------------===//
 
 TEST(CodelintTest, ExhaustedBudgetDegradesToUnknown) {
-  programs::CompiledProgram C = compiled("fnv1a");
+  core::CompileResult C = compiled("fnv1a");
   const programs::ProgramDef *P = programs::findProgram("fnv1a");
   guard::Budget B(/*DeadlineMs=*/0, /*StepLimit=*/1);
-  Report R = analyzeFunction(C.Result.Fn, P->Spec, P->Model,
+  Report R = analyzeFunction(C.Fn, P->Spec, P->Model,
                              P->Hints.EntryFacts, &B);
   EXPECT_TRUE(R.BudgetExhausted) << R.str();
   EXPECT_EQ(R.overall(), Verdict::Unknown) << R.str();

@@ -186,9 +186,13 @@ TEST(CompilerTest, ExternCallLinksTwoCompiledFunctions) {
   bedrock::Module Linked;
   Linked.Functions.push_back(GR->Fn);
   Linked.Functions.push_back(FR->Fn);
+  // The pipeline certifies one function at a time, so this test runs the
+  // replay and differential layers on the linked module itself.
+  Status Replay = validate::replayDerivation(FFn, *FR);
+  EXPECT_TRUE(bool(Replay)) << (Replay ? "" : Replay.error().str());
   validate::ValidationOptions VO;
   VO.CalleeModels["square"] = &GFn;
-  Status V = validate::validate(FFn, FSpec, *FR, Linked, VO);
+  Status V = validate::differentialCertify(FFn, FSpec, *FR, Linked, VO);
   EXPECT_TRUE(bool(V)) << (V ? "" : V.error().str());
 }
 
@@ -200,14 +204,14 @@ TEST(CompilerTest, MissingCalleeFailsValidation) {
   SourceFn Fn = std::move(FB).done(std::move(F).ret({"r"}));
   sep::FnSpec Spec("f");
   Spec.scalarArg("x").retScalar("r");
-  core::Compiler C;
-  Result<core::CompileResult> R = C.compileFn(Fn, Spec);
-  ASSERT_TRUE(bool(R));
-  bedrock::Module Linked;
-  Linked.Functions.push_back(R->Fn); // Callee absent.
-  Status V = validate::validate(Fn, Spec, *R, Linked, {});
-  ASSERT_FALSE(bool(V));
-  EXPECT_NE(V.error().str().find("square"), std::string::npos);
+  // The pipeline links the function alone: the callee is absent.
+  programs::ProgramDef Def = programDef(Fn, Spec);
+  std::vector<pipeline::ProgramOutcome> R =
+      pipeline::certifyPrograms({&Def}, {});
+  ASSERT_TRUE(R[0].CompileOk) << R[0].CompileError;
+  ASSERT_FALSE(R[0].ok());
+  EXPECT_NE(R[0].ValidationError.find("square"), std::string::npos)
+      << R[0].ValidationError;
 }
 
 TEST(CompilerTest, DerivationRecordsInvariantAndSideConditions) {

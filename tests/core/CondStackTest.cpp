@@ -160,13 +160,11 @@ TEST(StackTest, UninitDependentResultFailsValidation) {
   SourceFn Fn = std::move(FB).done(std::move(B).ret({"r"}));
   sep::FnSpec Spec("junk");
   Spec.scalarArg("x").retScalar("r");
-  core::Compiler C;
-  Result<core::CompileResult> R = C.compileFn(Fn, Spec);
-  ASSERT_TRUE(bool(R)) << R.error().str();
-  bedrock::Module Linked;
-  Linked.Functions.push_back(R->Fn);
-  Status V = validate::validate(Fn, Spec, *R, Linked, {});
-  EXPECT_FALSE(bool(V));
+  programs::ProgramDef Def = programDef(Fn, Spec);
+  std::vector<pipeline::ProgramOutcome> R =
+      pipeline::certifyPrograms({&Def}, {});
+  ASSERT_TRUE(R[0].CompileOk) << R[0].CompileError;
+  EXPECT_FALSE(R[0].ok());
 }
 
 TEST(StackTest, StackBufferCannotBeAnInPlaceResult) {

@@ -8,35 +8,46 @@
 #ifndef RELC_TESTS_CORE_CORETESTUTIL_H
 #define RELC_TESTS_CORE_CORETESTUTIL_H
 
-#include "core/Compiler.h"
 #include "ir/Build.h"
-#include "validate/Validate.h"
+#include "pipeline/Pipeline.h"
 
 #include <gtest/gtest.h>
 
 namespace relc {
 namespace coretest {
 
-/// Compiles a model; on success also replays the derivation and runs the
-/// differential certifier. Returns the failure (if any) for inspection.
+/// Wraps a hand-built model as a one-program suite entry, named after its
+/// target function.
+inline programs::ProgramDef
+programDef(const ir::SourceFn &Fn, const sep::FnSpec &Spec,
+           const core::CompileHints &Hints = {},
+           const validate::ValidationOptions &VOpts = {}) {
+  programs::ProgramDef Def;
+  Def.Name = Spec.TargetName;
+  Def.Model = Fn;
+  Def.Spec = Spec;
+  Def.Hints = Hints;
+  Def.VOpts = VOpts;
+  return Def;
+}
+
+/// Certifies a model through the pipeline with every layer on: compile,
+/// replay, static analysis, translation validation, codelint, and
+/// differential testing. Returns the failure (if any) for inspection.
 inline Status compileAndCertify(const ir::SourceFn &Fn,
                                 const sep::FnSpec &Spec,
                                 const core::CompileHints &Hints = {},
                                 const validate::ValidationOptions &VOpts = {},
                                 core::CompileResult *Out = nullptr) {
-  core::Compiler C;
-  Result<core::CompileResult> R = C.compileFn(Fn, Spec, Hints);
-  if (!R)
-    return R.takeError();
-  bedrock::Module Linked;
-  Linked.Functions.push_back(R->Fn);
-  validate::ValidationOptions VO = VOpts;
-  VO.Hints = Hints; // The static-analysis layer assumes what the compiler did.
-  Status V = validate::validate(Fn, Spec, *R, Linked, VO);
-  if (!V)
-    return V;
+  programs::ProgramDef Def = programDef(Fn, Spec, Hints, VOpts);
+  std::vector<pipeline::ProgramOutcome> R =
+      pipeline::certifyPrograms({&Def}, {});
+  if (!R[0].CompileOk)
+    return Error(R[0].CompileError);
+  if (!R[0].ok())
+    return Error(R[0].ValidationError);
   if (Out)
-    *Out = std::move(*R);
+    *Out = std::move(R[0].Compiled);
   return Status::success();
 }
 

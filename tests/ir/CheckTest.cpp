@@ -51,6 +51,10 @@ struct BadCase {
   const char *ExpectInError;
 };
 
+// Listings name a case by its description, not by the bytes of its
+// pointers, so test names are the same in every build.
+void PrintTo(const BadCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class CheckRejects : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(CheckRejects, RejectsWithDiagnostic) {

@@ -53,8 +53,8 @@ struct TempDir {
   }
 };
 
-/// Canonical, timing-free rendering of an outcome: everything observable
-/// except Millis. Two runs with the same semantics render identically.
+/// Canonical rendering of an outcome: everything observable. Two runs
+/// with the same semantics render identically.
 std::string render(const ProgramOutcome &O) {
   auto Layer = [](const LayerRun &R) {
     std::string S;

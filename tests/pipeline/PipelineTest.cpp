@@ -15,6 +15,8 @@
 
 #include "pipeline/Pipeline.h"
 
+#include "support/Fault.h"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -250,6 +252,125 @@ TEST(PipelineTest, CodelintRejectionIsNamedAndFailsAlone) {
       EXPECT_TRUE(O.ok()) << O.Def->Name << ": " << O.ValidationError;
       EXPECT_EQ(O.CodelintVerdictName, "safe") << O.Def->Name;
     }
+  }
+}
+
+/// Certifies \p Def alone and returns its rendered failure.
+std::string failureText(const programs::ProgramDef &Def,
+                        const PipelineOptions &Opts,
+                        const TamperHook &Tamper = nullptr) {
+  std::vector<ProgramOutcome> Out = certifyPrograms({&Def}, Opts, nullptr,
+                                                    Tamper);
+  EXPECT_FALSE(Out[0].ok()) << Def.Name;
+  return Out[0].ValidationError;
+}
+
+TEST(PipelineTest, FailureTextsArePinned) {
+  // The exact failure text of each static layer's rejection and of a
+  // layer-entry fault, with layer 4 on (the differential job renders the
+  // static failures) and off (the certify job does). The two note chains
+  // differ; both are pinned here.
+  const programs::ProgramDef &Fnv = *programs::findProgram("fnv1a");
+  TamperHook OobStore = [](const programs::ProgramDef &,
+                           core::CompileResult &R) {
+    R.Fn.Body = bedrock::seqAll(
+        {R.Fn.Body,
+         bedrock::store(bedrock::AccessSize::Byte,
+                        bedrock::add(bedrock::var("s"), bedrock::var("len")),
+                        bedrock::lit(0))});
+  };
+  // Straight-line code computing x - y for a model of x + y: safe, so only
+  // translation validation (and layer 4) can refute it.
+  programs::ProgramDef Plus;
+  Plus.Name = "plus";
+  {
+    ir::FnBuilder FB("plus", ir::Monad::Pure);
+    FB.wordParam("x").wordParam("y");
+    ir::ProgBuilder B;
+    B.let("r", ir::addw(ir::v("x"), ir::v("y")));
+    Plus.Model = std::move(FB).done(std::move(B).ret({"r"}));
+  }
+  Plus.Spec = sep::FnSpec("plus");
+  Plus.Spec.scalarArg("x").scalarArg("y").retScalar("r");
+  TamperHook Minus = [](const programs::ProgramDef &,
+                        core::CompileResult &R) {
+    R.Fn.Body = bedrock::set(
+        "r", bedrock::sub(bedrock::var("x"), bedrock::var("y")));
+  };
+
+  // Recorded texts. With layer 4 on, a static rejection gains a note
+  // naming its layer, and every failure gains the program note.
+  const std::string InFnv = "\n  note: while validating program fnv1a";
+  const std::string Bounds =
+      "static analysis of target 'fnv1a' found 1 error(s) and 0 "
+      "warning(s)\n"
+      "  note: error [bounds] fnv1a at body.3: store1((s + len)) = 0\n"
+      "  cannot prove 1-byte store at offset len_s stays within {array "
+      "ptr_s s (len_s x 1B)}: unsolved side condition: len_s + 1 <= len_s\n"
+      "  note: facts in scope:\n"
+      "  -len_s + 4294967296 >= 0   (ABI bounds array lengths by 2^32)\n"
+      "  -len_s + phi$b1$i$1 >= 0   (branch: !(a <u b))\n"
+      "  k$0xcbf29ce484222325 >= 0   (literal constant is nonnegative)\n"
+      "  len_s >= 0   (length is nonnegative)\n"
+      "  phi$b1$h >= 0   (merged value is a word / in-bounds offset)\n"
+      "  phi$b1$i$1 >= 0   (merged value is a word / in-bounds offset)\n";
+  const std::string Refuted =
+      "translation validation refuted 'plus': output 'r' [scalar] differs "
+      "between model and target\n"
+      "  note: output 'r' [scalar]: model (x + y) (0: let r := (x + y)) vs "
+      "target (x + (y * 0xffffffffffffffff)) (at body.0)";
+  const std::string OobStoreFinding =
+      "codelint verdict unsafe: [oob-store] at body.3: cannot prove 1-byte "
+      "store at offset len_s stays within {array ptr_s s (len_s x 1B)} in: "
+      "store1((s + len)) = 0\n"
+      "  note: codelint rejected the emitted code";
+
+  for (bool Validate : {true, false}) {
+    SCOPED_TRACE(Validate ? "layer 4 on" : "layer 4 off");
+    PipelineOptions Opts;
+    Opts.Validate = Validate;
+    EXPECT_EQ(failureText(Fnv, Opts, OobStore),
+              Validate ? Bounds + "\n  note: static analysis rejected the "
+                                  "target" + InFnv
+                       : Bounds);
+    EXPECT_EQ(failureText(Plus, Opts, Minus),
+              Validate ? Refuted + "\n  note: translation validation "
+                                   "rejected the target\n  note: while "
+                                   "validating program plus"
+                       : Refuted);
+    PipelineOptions OnlyCodelint = Opts;
+    OnlyCodelint.Analyze = OnlyCodelint.Tv = false;
+    EXPECT_EQ(failureText(Fnv, OnlyCodelint, OobStore),
+              Validate ? OobStoreFinding + InFnv : OobStoreFinding);
+  }
+
+  // A persistent fault at each layer's entry, matched to that layer alone
+  // and armed afresh for every run.
+  auto Faulted = [&](const char *Spec, bool Validate) {
+    fault::ScopedFaults Armed(Spec);
+    PipelineOptions Opts;
+    Opts.Validate = Validate;
+    return failureText(Fnv, Opts);
+  };
+  EXPECT_EQ(Faulted("layer-entry:persistent:match=/replay", true),
+            "injected persistent layer-entry fault at 'fnv1a/replay' (hit "
+            "#0)\n  note: derivation replay did not run" + InFnv);
+  EXPECT_EQ(Faulted("layer-entry:persistent:match=/differential", true),
+            "injected persistent layer-entry fault at 'fnv1a/differential' "
+            "(hit #0)\n  note: differential certification did not run" +
+                InFnv);
+  for (bool Validate : {true, false}) {
+    SCOPED_TRACE(Validate ? "layer 4 on" : "layer 4 off");
+    const std::string Tail = Validate ? InFnv : "";
+    EXPECT_EQ(Faulted("layer-entry:persistent:match=/analysis", Validate),
+              "injected persistent layer-entry fault at 'fnv1a/analysis' "
+              "(hit #0)\n  note: static analysis did not run" + Tail);
+    EXPECT_EQ(Faulted("layer-entry:persistent:match=/tv", Validate),
+              "injected persistent layer-entry fault at 'fnv1a/tv' (hit "
+              "#0)\n  note: translation validation did not run" + Tail);
+    EXPECT_EQ(Faulted("codelint-entry:persistent", Validate),
+              "injected persistent codelint-entry fault at 'fnv1a/codelint' "
+              "(hit #0)\n  note: codelint did not run" + Tail);
   }
 }
 

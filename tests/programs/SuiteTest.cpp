@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "programs/Programs.h"
+#include "pipeline/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -19,18 +19,21 @@ class SuiteTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(SuiteTest, CompilesReplaysAndCertifies) {
   const ProgramDef *P = findProgram(GetParam());
   ASSERT_NE(P, nullptr);
-  Result<CompiledProgram> C = compileAndValidate(*P);
-  ASSERT_TRUE(bool(C)) << C.error().str();
-  EXPECT_GT(C->Result.EmittedStmts, 0u);
-  EXPECT_GT(C->Result.Proof->size(), 1u);
+  std::vector<pipeline::ProgramOutcome> O =
+      pipeline::certifyPrograms({P}, {});
+  ASSERT_TRUE(O[0].ok()) << O[0].CompileError << O[0].ValidationError;
+  EXPECT_GT(O[0].Compiled.EmittedStmts, 0u);
+  EXPECT_GT(O[0].Compiled.Proof->size(), 1u);
 }
 
 TEST_P(SuiteTest, FeatureMatrixMatchesTable2) {
   const ProgramDef *P = findProgram(GetParam());
   ASSERT_NE(P, nullptr);
-  Result<CompiledProgram> C = compileAndValidate(*P, false);
+  core::Compiler Compiler;
+  Result<core::CompileResult> C = Compiler.compileFn(P->Model, P->Spec,
+                                                     P->Hints);
   ASSERT_TRUE(bool(C));
-  const std::set<std::string> &F = C->Result.Features;
+  const std::set<std::string> &F = C->Features;
   // Every program computes: Arithmetic always fires.
   EXPECT_TRUE(F.count("Arithmetic"));
   if (GetParam() == "upstr" || GetParam() == "fasta") {

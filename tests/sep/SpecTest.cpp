@@ -45,6 +45,10 @@ struct BadSpec {
   const char *ExpectInError;
 };
 
+// Listings name a case by its description, not by the bytes of its
+// pointers, so test names are the same in every build.
+void PrintTo(const BadSpec &C, std::ostream *OS) { *OS << C.Name; }
+
 class SpecRejects : public ::testing::TestWithParam<BadSpec> {};
 
 TEST_P(SpecRejects, RejectsWithDiagnostic) {

@@ -17,8 +17,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Build.h"
+#include "pipeline/Pipeline.h"
 #include "tv/Tv.h"
-#include "validate/Validate.h"
 
 #include <gtest/gtest.h>
 
@@ -101,11 +101,21 @@ TEST(TvFailureInjectionTest, TriggerOutsideSampledVectorsOnlyTvCatches) {
 
   // And the full pipeline therefore fails on the tampered artifact even
   // though its own sampled layer would have passed.
-  Status Pipeline = validate::validate(Fn, Spec, Broken, M, Opts2);
-  ASSERT_FALSE(bool(Pipeline));
-  EXPECT_NE(Pipeline.error().str().find("translation validation"),
+  programs::ProgramDef Def;
+  Def.Name = "ident";
+  Def.Model = Fn;
+  Def.Spec = Spec;
+  Def.VOpts = Opts2;
+  pipeline::TamperHook Tamper = [&Broken](const programs::ProgramDef &,
+                                          core::CompileResult &R) {
+    R.Fn = Broken.Fn;
+  };
+  std::vector<pipeline::ProgramOutcome> Pipeline =
+      pipeline::certifyPrograms({&Def}, {}, nullptr, Tamper);
+  ASSERT_FALSE(Pipeline[0].ok());
+  EXPECT_NE(Pipeline[0].ValidationError.find("translation validation"),
             std::string::npos)
-      << Pipeline.error().str();
+      << Pipeline[0].ValidationError;
 }
 
 } // namespace

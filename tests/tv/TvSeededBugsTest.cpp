@@ -22,8 +22,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Build.h"
+#include "pipeline/Pipeline.h"
 #include "tv/Tv.h"
-#include "validate/Validate.h"
 
 #include <gtest/gtest.h>
 
@@ -183,41 +183,39 @@ TEST(TvSeededBugsTest, DroppedStoreCleanTwinProves) {
 }
 
 //===----------------------------------------------------------------------===//
-// The validate() pipeline rejects a tampered compilation via the TV layer.
+// The pipeline rejects a tampered compilation via the TV layer.
 //===----------------------------------------------------------------------===//
 
 TEST(TvSeededBugsTest, ValidatePipelineRejectsTamperedTarget) {
+  programs::ProgramDef Def;
+  Def.Name = "axpb";
   FnBuilder FB("axpb", Monad::Pure);
   FB.wordParam("x").wordParam("y");
   ProgBuilder B;
   B.let("r", addw(v("x"), v("y")));
-  SourceFn Fn = std::move(FB).done(std::move(B).ret({"r"}));
-  sep::FnSpec Spec("axpb");
-  Spec.scalarArg("x").scalarArg("y").retScalar("r");
-
-  core::Compiler C;
-  Result<core::CompileResult> R = C.compileFn(Fn, Spec, {});
-  ASSERT_TRUE(bool(R)) << (R ? "" : R.error().str());
+  Def.Model = std::move(FB).done(std::move(B).ret({"r"}));
+  Def.Spec = sep::FnSpec("axpb");
+  Def.Spec.scalarArg("x").scalarArg("y").retScalar("r");
 
   // Tamper with the *code* only: the witness still replays, the static
   // analyzer still sees safe straight-line code — but the function now
   // computes x - y. Only the equivalence layers can see that.
-  bedrock::Function GoodFn = R->Fn;
-  R->Fn.Body = set("r", sub(var("x"), var("y")));
-
-  bedrock::Module M;
-  M.Functions.push_back(R->Fn);
-  Status S = validate::validate(Fn, Spec, *R, M, {});
-  ASSERT_FALSE(bool(S));
-  EXPECT_NE(S.error().str().find("translation validation"), std::string::npos)
-      << S.error().str();
+  pipeline::TamperHook Tamper = [](const programs::ProgramDef &,
+                                   core::CompileResult &R) {
+    R.Fn.Body = set("r", sub(var("x"), var("y")));
+  };
+  std::vector<pipeline::ProgramOutcome> Bad =
+      pipeline::certifyPrograms({&Def}, {}, nullptr, Tamper);
+  ASSERT_TRUE(Bad[0].CompileOk) << Bad[0].CompileError;
+  ASSERT_FALSE(Bad[0].ok());
+  EXPECT_NE(Bad[0].ValidationError.find("translation validation"),
+            std::string::npos)
+      << Bad[0].ValidationError;
 
   // The untampered result passes the full pipeline.
-  R->Fn = GoodFn;
-  bedrock::Module Good;
-  Good.Functions.push_back(R->Fn);
-  Status OK = validate::validate(Fn, Spec, *R, Good, {});
-  EXPECT_TRUE(bool(OK)) << (OK ? "" : OK.error().str());
+  std::vector<pipeline::ProgramOutcome> Good =
+      pipeline::certifyPrograms({&Def}, {});
+  EXPECT_TRUE(Good[0].ok()) << Good[0].ValidationError;
 }
 
 } // namespace

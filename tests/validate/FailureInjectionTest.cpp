@@ -185,15 +185,10 @@ TEST(FailureInjectionTest, RareLengthOverflowEscapesDifferentialTesting) {
   ASSERT_TRUE(bool(C.certifyWith(Broken)));
 
   // Layer 2 catches it: the store at s+len is outside the frame.
-  core::CompileResult BrokenR = std::move(C.R); // Done with differential.
-  // (CompileResult owns the derivation tree, so it is move-only.)
-  BrokenR.Fn = Broken;
-  validate::ValidationOptions VO = C.P.VOpts;
-  VO.Hints = C.P.Hints;
-  Status S = validate::analyzeTarget(C.P.Model, C.P.Spec, BrokenR, VO);
-  ASSERT_FALSE(bool(S));
-  EXPECT_NE(S.error().str().find("bounds"), std::string::npos)
-      << S.error().str();
+  analysis::AnalysisReport R = analysis::analyzeProgram(
+      Broken, C.P.Spec, C.P.Model, C.P.Hints.EntryFacts);
+  ASSERT_TRUE(R.hasErrors()) << R.str();
+  EXPECT_NE(R.str().find("bounds"), std::string::npos) << R.str();
 }
 
 // Warnings do not fail certification, but they do surface: a useless
@@ -206,19 +201,12 @@ TEST(FailureInjectionTest, InjectedDeadStoreSurfacesAsWarning) {
 
   ASSERT_TRUE(bool(C.certifyWith(Broken)));
 
-  core::CompileResult BrokenR = std::move(C.R); // Done with differential.
-  // (CompileResult owns the derivation tree, so it is move-only.)
-  BrokenR.Fn = Broken;
-  validate::ValidationOptions VO = C.P.VOpts;
-  VO.Hints = C.P.Hints;
-  EXPECT_TRUE(bool(validate::analyzeTarget(C.P.Model, C.P.Spec, BrokenR, VO)))
-      << "warnings alone must not fail certification";
-
   analysis::AnalysisReport R = analysis::analyzeProgram(
       Broken, C.P.Spec, C.P.Model, C.P.Hints.EntryFacts);
+  EXPECT_FALSE(R.hasErrors())
+      << "warnings alone must not fail certification\n" << R.str();
   ASSERT_EQ(R.numWarnings(), 1u) << R.str();
   EXPECT_EQ(R.Diags[0].C, analysis::Diagnostic::Checker::DeadStore);
-  EXPECT_FALSE(R.hasErrors()) << R.str();
 }
 
 // The same injections, under the parallel scheduler: a defect in one

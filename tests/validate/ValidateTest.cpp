@@ -5,8 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "programs/Programs.h"
-#include "validate/Validate.h"
+#include "pipeline/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -64,22 +63,25 @@ TEST(ValidateTest, MissingWitnessRejected) {
 
 TEST(ValidateTest, AllSuiteProgramsCertify) {
   for (const programs::ProgramDef &P : programs::allPrograms()) {
-    Result<programs::CompiledProgram> C = programs::compileAndValidate(P);
-    EXPECT_TRUE(bool(C)) << P.Name << ": "
-                         << (C ? "" : C.error().str());
+    std::vector<pipeline::ProgramOutcome> O =
+        pipeline::certifyPrograms({&P}, {});
+    EXPECT_TRUE(O[0].ok()) << P.Name << ": " << O[0].CompileError
+                           << O[0].ValidationError;
   }
 }
 
 TEST(ValidateTest, TamperedWitnessRejectedWithNoteChain) {
-  // A tampered witness fails layer 1: validate() stops there and names
+  // A tampered witness fails layer 1: the pipeline stops there and names
   // the layer after the replay's own diagnostic.
-  Fixture F;
-  F.R.Proof->Children[0]->Rule = "compile_backdoor";
-  validate::ValidationOptions VO = F.P.VOpts;
-  VO.Hints = F.P.Hints;
-  Status S = validate::validate(F.P.Model, F.P.Spec, F.R, F.Linked, VO);
-  ASSERT_FALSE(bool(S));
-  std::string Text = S.error().str();
+  const programs::ProgramDef *P = programs::findProgram("upstr");
+  pipeline::TamperHook Tamper = [](const programs::ProgramDef &,
+                                   core::CompileResult &R) {
+    R.Proof->Children[0]->Rule = "compile_backdoor";
+  };
+  std::vector<pipeline::ProgramOutcome> O =
+      pipeline::certifyPrograms({P}, {}, nullptr, Tamper);
+  ASSERT_FALSE(O[0].ok());
+  const std::string &Text = O[0].ValidationError;
   size_t Rule = Text.find("compile_backdoor");
   size_t Note = Text.find("derivation replay rejected the witness");
   ASSERT_NE(Rule, std::string::npos) << Text;

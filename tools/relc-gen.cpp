@@ -150,7 +150,7 @@ int main(int argc, char **argv) {
   if (!AnalysisReport && !TvReport)
     R.CacheDir = cl::resolveCacheDir(Cache);
   R.Validate = Validate;
-  // validate() has always run analysis and TV as its layers 2 and 3;
+  // With validation on, analysis and TV always run as layers 2 and 3;
   // -no-analyze / -no-tv only control the standalone gates below.
   R.Analyze = Analyze || Validate;
   R.Tv = Tv || Validate;
@@ -204,8 +204,8 @@ int main(int argc, char **argv) {
                    O.CompileError.c_str());
       continue;
     }
-    // Layer failures under -validate carry the full note chain, exactly
-    // as validate::validate renders them.
+    // Layer failures under -validate carry the full note chain the
+    // pipeline renders: the layer's diagnostic, the layer, the program.
     if (Validate && !O.ValidationError.empty()) {
       std::fprintf(stderr, "[%s] FAILED:\n%s\n", P.Name.c_str(),
                    O.ValidationError.c_str());
