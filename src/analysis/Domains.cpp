@@ -498,7 +498,8 @@ bool IntervalDomain::join(unsigned BlockId, State &Into, const State &From) {
 //===----------------------------------------------------------------------===//
 
 void SymState::addFact(const LinTerm &T, const std::string &Reason) {
-  Facts.emplace(T.str(), std::make_pair(T, Reason));
+  if (T.known()) // An overflowed term says nothing; FactDb would drop it.
+    Facts.emplace(T.str(), std::make_pair(T, Reason));
 }
 
 solver::FactDb SymbolicDomain::materialize(const State &St) const {

@@ -11,28 +11,89 @@ namespace relc {
 namespace ir {
 
 //===----------------------------------------------------------------------===//
+// The frame.
+//===----------------------------------------------------------------------===//
+//
+// An error abandons the evaluation: error paths return without leaving
+// their scopes, and the next evalExpr / evalBody starts from a fresh frame.
+
+void Evaluator::resetFrame() {
+  SlotOfName.clear();
+  SlotOfText.clear();
+  Frame.clear();
+  SaveStack.clear();
+  Depth = 0;
+}
+
+unsigned Evaluator::slot(const std::string &Name) {
+  auto [It, Fresh] = SlotOfName.try_emplace(&Name, 0u);
+  if (Fresh) {
+    auto [Text, New] = SlotOfText.try_emplace(Name, unsigned(Frame.size()));
+    if (New)
+      Frame.emplace_back();
+    It->second = Text->second;
+  }
+  return It->second;
+}
+
+/// Null when unbound. The pointer is good until the next slot() call,
+/// which may grow the frame.
+const Value *Evaluator::lookup(unsigned S) const {
+  return Frame[S].V ? &*Frame[S].V : nullptr;
+}
+
+void Evaluator::write(unsigned S, Value V) {
+  Slot &Sl = Frame[S];
+  if (Sl.WrittenAt != Depth) {
+    SaveStack.push_back({S, std::move(Sl)});
+    Sl.WrittenAt = Depth;
+  }
+  Sl.V = std::move(V);
+}
+
+size_t Evaluator::enterScope() {
+  ++Depth;
+  return SaveStack.size();
+}
+
+void Evaluator::leaveScope(size_t Mark) {
+  while (SaveStack.size() > Mark) {
+    Frame[SaveStack.back().Index] = std::move(SaveStack.back().Old);
+    SaveStack.pop_back();
+  }
+  --Depth;
+}
+
+//===----------------------------------------------------------------------===//
 // Expressions.
 //===----------------------------------------------------------------------===//
 
 Result<Value> Evaluator::evalExpr(const Env &E, const Expr &Ex) {
+  resetFrame();
+  for (const auto &[Name, V] : E)
+    write(slot(Name), V);
+  return eval(Ex);
+}
+
+Result<Value> Evaluator::eval(const Expr &Ex) {
   switch (Ex.kind()) {
   case Expr::Kind::Const:
     return cast<Const>(&Ex)->value();
 
   case Expr::Kind::VarRef: {
     const auto *V = cast<VarRef>(&Ex);
-    auto It = E.find(V->name());
-    if (It == E.end())
+    const Value *Bound = lookup(slot(V->name()));
+    if (!Bound)
       return Error("unbound variable '" + V->name() + "'");
-    return It->second;
+    return *Bound;
   }
 
   case Expr::Kind::Bin: {
     const auto *B = cast<Bin>(&Ex);
-    Result<Value> L = evalExpr(E, *B->lhs());
+    Result<Value> L = eval(*B->lhs());
     if (!L)
       return L.takeError();
-    Result<Value> R = evalExpr(E, *B->rhs());
+    Result<Value> R = eval(*B->rhs());
     if (!R)
       return R.takeError();
     if (L->kind() != Value::Kind::Word || R->kind() != Value::Kind::Word)
@@ -46,18 +107,18 @@ Result<Value> Evaluator::evalExpr(const Env &E, const Expr &Ex) {
 
   case Expr::Kind::Select: {
     const auto *S = cast<Select>(&Ex);
-    Result<Value> C = evalExpr(E, *S->cond());
+    Result<Value> C = eval(*S->cond());
     if (!C)
       return C.takeError();
     if (C->kind() != Value::Kind::Bool)
       return Error("Select condition is not a bool");
     // Both arms are evaluated in a pure language: selection is value-level.
-    return evalExpr(E, C->asBool() ? *S->thenExpr() : *S->elseExpr());
+    return eval(C->asBool() ? *S->thenExpr() : *S->elseExpr());
   }
 
   case Expr::Kind::Cast: {
     const auto *C = cast<Cast>(&Ex);
-    Result<Value> V = evalExpr(E, *C->operand());
+    Result<Value> V = eval(*C->operand());
     if (!V)
       return V.takeError();
     switch (C->castKind()) {
@@ -79,17 +140,18 @@ Result<Value> Evaluator::evalExpr(const Env &E, const Expr &Ex) {
 
   case Expr::Kind::ArrayGet: {
     const auto *G = cast<ArrayGet>(&Ex);
-    auto It = E.find(G->array());
-    if (It == E.end())
+    unsigned S = slot(G->array());
+    const Value *L = lookup(S);
+    if (!L)
       return Error("unbound array '" + G->array() + "'");
-    if (It->second.kind() != Value::Kind::List)
+    if (L->kind() != Value::Kind::List)
       return Error("ListArray.get on non-list '" + G->array() + "'");
-    Result<Value> Idx = evalExpr(E, *G->index());
+    Result<Value> Idx = eval(*G->index());
     if (!Idx)
       return Idx.takeError();
     if (Idx->kind() != Value::Kind::Word)
       return Error("array index is not a word");
-    const std::vector<Value> &Elems = It->second.elems();
+    const std::vector<Value> &Elems = lookup(S)->elems();
     if (Idx->asWord() >= Elems.size())
       return Error("source-level out-of-bounds get: " + G->array() + "[" +
                    std::to_string(Idx->asWord()) + "] of " +
@@ -102,7 +164,7 @@ Result<Value> Evaluator::evalExpr(const Env &E, const Expr &Ex) {
     const TableDef *T = Fn.findTable(G->table());
     if (!T)
       return Error("unknown inline table '" + G->table() + "'");
-    Result<Value> Idx = evalExpr(E, *G->index());
+    Result<Value> Idx = eval(*G->index());
     if (!Idx)
       return Idx.takeError();
     if (Idx->kind() != Value::Kind::Word)
@@ -140,25 +202,26 @@ static Result<Value> normalizeElt(EltKind K, const Value &V) {
   return V;
 }
 
-Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
+Result<Value> Evaluator::evalBound(const Binding &B) {
   const BoundForm &F = *B.Bound;
   switch (F.kind()) {
   case BoundForm::Kind::PureVal:
-    return evalExpr(E, *cast<PureVal>(&F)->expr());
+    return eval(*cast<PureVal>(&F)->expr());
 
   case BoundForm::Kind::ArrayPut: {
     const auto *P = cast<ArrayPut>(&F);
-    auto It = E.find(P->array());
-    if (It == E.end() || It->second.kind() != Value::Kind::List)
+    unsigned S = slot(P->array());
+    const Value *L = lookup(S);
+    if (!L || L->kind() != Value::Kind::List)
       return Error("ListArray.put on unbound or non-list '" + P->array() +
                    "'");
-    Result<Value> Idx = evalExpr(E, *P->index());
+    Result<Value> Idx = eval(*P->index());
     if (!Idx)
       return Idx.takeError();
-    Result<Value> V = evalExpr(E, *P->val());
+    Result<Value> V = eval(*P->val());
     if (!V)
       return V.takeError();
-    Value NewList = It->second; // Functional update: copy, then replace.
+    Value NewList = *lookup(S); // Functional update: copy, then replace.
     if (Idx->asWord() >= NewList.elems().size())
       return Error("source-level out-of-bounds put on '" + P->array() + "'");
     Result<Value> Norm = normalizeElt(NewList.listElt(), *V);
@@ -170,17 +233,18 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
 
   case BoundForm::Kind::ListMap: {
     const auto *M = cast<ListMap>(&F);
-    auto It = E.find(M->array());
-    if (It == E.end() || It->second.kind() != Value::Kind::List)
+    const Value *L = lookup(slot(M->array()));
+    if (!L || L->kind() != Value::Kind::List)
       return Error("ListArray.map on unbound or non-list '" + M->array() +
                    "'");
-    Value NewList = It->second;
-    Env Scope = E;
+    Value NewList = *L;
+    unsigned Param = slot(M->param());
+    size_t Mark = enterScope();
     for (Value &Elt : NewList.elems()) {
       if (FuelLeft-- == 0)
         return Error("out of fuel in ListArray.map");
-      Scope[M->param()] = Elt;
-      Result<Value> V = evalExpr(Scope, *M->body());
+      write(Param, Elt);
+      Result<Value> V = eval(*M->body());
       if (!V)
         return V.takeError();
       Result<Value> Norm = normalizeElt(NewList.listElt(), *V);
@@ -188,89 +252,102 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
         return Norm.takeError();
       Elt = *Norm;
     }
+    leaveScope(Mark);
     return NewList;
   }
 
   case BoundForm::Kind::ListFold: {
     const auto *L = cast<ListFold>(&F);
-    auto It = E.find(L->array());
-    if (It == E.end() || It->second.kind() != Value::Kind::List)
+    unsigned S = slot(L->array());
+    const Value *List = lookup(S);
+    if (!List || List->kind() != Value::Kind::List)
       return Error("fold_left on unbound or non-list '" + L->array() + "'");
-    Result<Value> Acc = evalExpr(E, *L->init());
+    Result<Value> Acc = eval(*L->init());
     if (!Acc)
       return Acc.takeError();
-    Env Scope = E;
-    for (const Value &Elt : It->second.elems()) {
+    // A parameter may share the list's name: walk a copy that the
+    // parameter bindings cannot overwrite.
+    const Value Walked = *lookup(S);
+    unsigned AccParam = slot(L->accParam()), EltParam = slot(L->eltParam());
+    size_t Mark = enterScope();
+    for (const Value &Elt : Walked.elems()) {
       if (FuelLeft-- == 0)
         return Error("out of fuel in fold_left");
-      Scope[L->accParam()] = *Acc;
-      Scope[L->eltParam()] = Elt;
-      Acc = evalExpr(Scope, *L->body());
+      write(AccParam, *Acc);
+      write(EltParam, Elt);
+      Acc = eval(*L->body());
       if (!Acc)
         return Acc.takeError();
     }
+    leaveScope(Mark);
     return Acc.take();
   }
 
   case BoundForm::Kind::FoldBreak: {
     const auto *L = cast<FoldBreak>(&F);
-    auto It = E.find(L->array());
-    if (It == E.end() || It->second.kind() != Value::Kind::List)
+    unsigned S = slot(L->array());
+    const Value *List = lookup(S);
+    if (!List || List->kind() != Value::Kind::List)
       return Error("fold_break on unbound or non-list '" + L->array() + "'");
-    Result<Value> Acc = evalExpr(E, *L->init());
+    Result<Value> Acc = eval(*L->init());
     if (!Acc)
       return Acc.takeError();
-    Env Scope = E;
-    for (const Value &Elt : It->second.elems()) {
+    const Value Walked = *lookup(S); // As in fold_left.
+    unsigned AccParam = slot(L->accParam()), EltParam = slot(L->eltParam());
+    size_t Mark = enterScope();
+    for (const Value &Elt : Walked.elems()) {
       if (FuelLeft-- == 0)
         return Error("out of fuel in fold_break");
-      Scope[L->accParam()] = *Acc;
-      Result<Value> Brk = evalExpr(Scope, *L->breakCond());
+      write(AccParam, *Acc);
+      Result<Value> Brk = eval(*L->breakCond());
       if (!Brk)
         return Brk.takeError();
       if (Brk->kind() != Value::Kind::Bool)
         return Error("fold_break predicate is not a bool");
       if (Brk->asBool())
         break;
-      Scope[L->eltParam()] = Elt;
-      Acc = evalExpr(Scope, *L->body());
+      write(EltParam, Elt);
+      Acc = eval(*L->body());
       if (!Acc)
         return Acc.takeError();
     }
+    leaveScope(Mark);
     return Acc.take();
   }
 
   case BoundForm::Kind::RangeFold: {
     const auto *R = cast<RangeFold>(&F);
-    Result<Value> Lo = evalExpr(E, *R->lo());
+    Result<Value> Lo = eval(*R->lo());
     if (!Lo)
       return Lo.takeError();
-    Result<Value> Hi = evalExpr(E, *R->hi());
+    Result<Value> Hi = eval(*R->hi());
     if (!Hi)
       return Hi.takeError();
     if (Lo->kind() != Value::Kind::Word || Hi->kind() != Value::Kind::Word)
       return Error("ranged_for bounds are not words");
-    Env Scope = E;
     std::vector<Value> Accs;
     for (const AccInit &A : R->accs()) {
-      Result<Value> V = evalExpr(E, *A.Init);
+      Result<Value> V = eval(*A.Init);
       if (!V)
         return V.takeError();
       Accs.push_back(V.take());
     }
+    unsigned Idx = slot(R->idxName());
+    size_t Mark = enterScope();
     for (uint64_t I = Lo->asWord(); I < Hi->asWord(); ++I) {
       if (FuelLeft-- == 0)
         return Error("out of fuel in ranged_for");
-      Scope[R->idxName()] = Value::word(I);
+      write(Idx, Value::word(I));
       for (size_t A = 0; A < Accs.size(); ++A)
-        Scope[R->accs()[A].Name] = Accs[A];
-      Result<std::vector<Value>> Out = evalProg(Scope, *R->body());
+        write(slot(R->accs()[A].Name), std::move(Accs[A]));
+      Result<std::vector<Value>> Out = evalProg(*R->body());
       if (!Out)
         return Out.takeError();
       if (Out->size() != Accs.size())
         return Error("ranged_for body returns wrong number of accumulators");
       Accs = Out.take();
     }
+    leaveScope(Mark);
     if (Accs.size() == 1)
       return Accs[0];
     return Value::tuple(std::move(Accs));
@@ -278,40 +355,40 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
 
   case BoundForm::Kind::WhileComb: {
     const auto *W = cast<WhileComb>(&F);
-    Env Scope = E;
     std::vector<Value> Accs;
     for (const AccInit &A : W->accs()) {
-      Result<Value> V = evalExpr(E, *A.Init);
+      Result<Value> V = eval(*A.Init);
       if (!V)
         return V.takeError();
       Accs.push_back(V.take());
     }
     auto BindAccs = [&] {
       for (size_t A = 0; A < Accs.size(); ++A)
-        Scope[W->accs()[A].Name] = Accs[A];
+        write(slot(W->accs()[A].Name), Accs[A]);
     };
+    size_t Mark = enterScope();
+    BindAccs(); // Each iteration rebinds them after its body.
     while (true) {
       if (FuelLeft-- == 0)
         return Error("out of fuel in while");
-      BindAccs();
-      Result<Value> Cond = evalExpr(Scope, *W->cond());
+      Result<Value> Cond = eval(*W->cond());
       if (!Cond)
         return Cond.takeError();
       if (Cond->kind() != Value::Kind::Bool)
         return Error("while condition is not a bool");
       if (!Cond->asBool())
         break;
-      Result<Value> M0 = evalExpr(Scope, *W->measure());
+      Result<Value> M0 = eval(*W->measure());
       if (!M0)
         return M0.takeError();
-      Result<std::vector<Value>> Out = evalProg(Scope, *W->body());
+      Result<std::vector<Value>> Out = evalProg(*W->body());
       if (!Out)
         return Out.takeError();
       if (Out->size() != Accs.size())
         return Error("while body returns wrong number of accumulators");
       Accs = Out.take();
       BindAccs();
-      Result<Value> M1 = evalExpr(Scope, *W->measure());
+      Result<Value> M1 = eval(*W->measure());
       if (!M1)
         return M1.takeError();
       // Total-correctness obligation: the declared measure must strictly
@@ -321,6 +398,7 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
                      std::to_string(M0->asWord()) + " -> " +
                      std::to_string(M1->asWord()) + ")");
     }
+    leaveScope(Mark);
     if (Accs.size() == 1)
       return Accs[0];
     return Value::tuple(std::move(Accs));
@@ -328,13 +406,13 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
 
   case BoundForm::Kind::IfBound: {
     const auto *I = cast<IfBound>(&F);
-    Result<Value> C = evalExpr(E, *I->cond());
+    Result<Value> C = eval(*I->cond());
     if (!C)
       return C.takeError();
     if (C->kind() != Value::Kind::Bool)
       return Error("conditional guard is not a bool");
     Result<std::vector<Value>> Out =
-        evalProg(E, C->asBool() ? *I->thenProg() : *I->elseProg());
+        evalProg(C->asBool() ? *I->thenProg() : *I->elseProg());
     if (!Out)
       return Out.takeError();
     if (Out->size() == 1)
@@ -377,7 +455,7 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
   }
 
   case BoundForm::Kind::IoWrite: {
-    Result<Value> V = evalExpr(E, *cast<IoWrite>(&F)->expr());
+    Result<Value> V = eval(*cast<IoWrite>(&F)->expr());
     if (!V)
       return V.takeError();
     if (V->kind() != Value::Kind::Word)
@@ -388,7 +466,7 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
   }
 
   case BoundForm::Kind::WriterTell: {
-    Result<Value> V = evalExpr(E, *cast<WriterTell>(&F)->expr());
+    Result<Value> V = eval(*cast<WriterTell>(&F)->expr());
     if (!V)
       return V.takeError();
     if (V->kind() != Value::Kind::Word)
@@ -400,11 +478,11 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
 
   case BoundForm::Kind::CellGet: {
     const auto *C = cast<CellGet>(&F);
-    auto It = E.find(C->cell());
-    if (It == E.end() || It->second.kind() != Value::Kind::List ||
-        It->second.elems().size() != 1)
+    const Value *Cell = lookup(slot(C->cell()));
+    if (!Cell || Cell->kind() != Value::Kind::List ||
+        Cell->elems().size() != 1)
       return Error("Cell.get on unbound or non-cell '" + C->cell() + "'");
-    return It->second.elems()[0];
+    return Cell->elems()[0];
   }
 
   case BoundForm::Kind::CellPut:
@@ -414,26 +492,27 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
         IsIncr ? cast<CellIncr>(&F)->cell() : cast<CellPut>(&F)->cell();
     const Expr *Arg =
         IsIncr ? cast<CellIncr>(&F)->expr() : cast<CellPut>(&F)->expr();
-    auto It = E.find(CellName);
-    if (It == E.end() || It->second.kind() != Value::Kind::List ||
-        It->second.elems().size() != 1)
+    unsigned S = slot(CellName);
+    const Value *Cell = lookup(S);
+    if (!Cell || Cell->kind() != Value::Kind::List ||
+        Cell->elems().size() != 1)
       return Error("cell operation on unbound or non-cell '" + CellName + "'");
-    Result<Value> V = evalExpr(E, *Arg);
+    Result<Value> V = eval(*Arg);
     if (!V)
       return V.takeError();
     if (V->kind() != Value::Kind::Word)
       return Error("cell operand is not a word");
-    uint64_t Old = It->second.elems()[0].asWord();
+    uint64_t Old = lookup(S)->elems()[0].asWord();
     uint64_t New = IsIncr ? Old + V->asWord() : V->asWord();
     return Value::list(EltKind::U64, {Value::word(New)});
   }
 
   case BoundForm::Kind::CopyArr: {
     const auto *C = cast<CopyArr>(&F);
-    auto It = E.find(C->array());
-    if (It == E.end() || It->second.kind() != Value::Kind::List)
+    const Value *L = lookup(slot(C->array()));
+    if (!L || L->kind() != Value::Kind::List)
       return Error("copy of unbound or non-list '" + C->array() + "'");
-    return It->second; // Pure duplication: the same list value.
+    return *L; // Pure duplication: the same list value.
   }
 
   case BoundForm::Kind::ExternCall: {
@@ -443,7 +522,7 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
                    X->callee() + "'");
     std::vector<Value> Args;
     for (const ExprPtr &A : X->args()) {
-      Result<Value> V = evalExpr(E, *A);
+      Result<Value> V = eval(*A);
       if (!V)
         return V.takeError();
       Args.push_back(V.take());
@@ -462,39 +541,49 @@ Result<Value> Evaluator::evalBound(Env &E, const Binding &B) {
   return Error("unknown bound form");
 }
 
-Status Evaluator::bindResults(Env &E, const Binding &B, Value V) {
+Status Evaluator::bindResults(const Binding &B, Value V) {
   if (B.Names.size() == 1) {
-    E[B.Names[0]] = std::move(V);
+    write(slot(B.Names[0]), std::move(V));
     return Status::success();
   }
   if (V.kind() != Value::Kind::Tuple || V.elems().size() != B.Names.size())
     return Error("binding " + B.str() + ": arity mismatch");
   for (size_t I = 0; I < B.Names.size(); ++I)
-    E[B.Names[I]] = V.elems()[I];
+    write(slot(B.Names[I]), std::move(V.elems()[I]));
   return Status::success();
 }
 
-Result<std::vector<Value>> Evaluator::evalProg(const Env &Outer,
-                                               const Prog &P) {
-  Env E = Outer;
+Result<std::vector<Value>> Evaluator::evalProg(const Prog &P) {
+  size_t Mark = enterScope();
   for (const Binding &B : P.bindings()) {
     if (FuelLeft-- == 0)
       return Error("out of fuel");
-    Result<Value> V = evalBound(E, B);
+    Result<Value> V = evalBound(B);
     if (!V)
       return V.takeError().note("in " + B.str());
-    Status Bound = bindResults(E, B, V.take());
+    Status Bound = bindResults(B, V.take());
     if (!Bound)
       return Bound.takeError();
   }
   std::vector<Value> Out;
+  Out.reserve(P.returns().size());
   for (const std::string &R : P.returns()) {
-    auto It = E.find(R);
-    if (It == E.end())
+    const Value *V = lookup(slot(R));
+    if (!V)
       return Error("returned variable '" + R + "' is unbound");
-    Out.push_back(It->second);
+    Out.push_back(*V);
   }
+  leaveScope(Mark);
   return Out;
+}
+
+Result<std::vector<Value>>
+Evaluator::evalBody(const std::vector<Value> &Args) {
+  assert(Args.size() == Fn.Params.size() && "one argument per parameter");
+  resetFrame();
+  for (size_t I = 0; I < Args.size(); ++I)
+    write(slot(Fn.Params[I].Name), Args[I]);
+  return evalProg(*Fn.Body);
 }
 
 Result<std::vector<Value>> evalFn(const SourceFn &Fn,
@@ -503,11 +592,7 @@ Result<std::vector<Value>> evalFn(const SourceFn &Fn,
   if (Args.size() != Fn.Params.size())
     return Error("evalFn: expected " + std::to_string(Fn.Params.size()) +
                  " arguments, got " + std::to_string(Args.size()));
-  Env E;
-  for (size_t I = 0; I < Args.size(); ++I)
-    E[Fn.Params[I].Name] = Args[I];
-  Evaluator Ev(Fn, Ctx, Opts);
-  return Ev.evalProg(E, *Fn.Body);
+  return Evaluator(Fn, Ctx, Opts).evalBody(Args);
 }
 
 } // namespace ir

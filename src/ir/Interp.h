@@ -16,6 +16,16 @@
 // Totality is enforced: while-loops must strictly decrease their declared
 // measure, and a global fuel bound catches runaway evaluation.
 //
+// One evaluation runs in one flat frame. Each name resolves to a dense
+// slot the first time the evaluation meets it (keyed by the address of the
+// name string in the immutable AST, so a lookup is one pointer hash), and
+// the layout dies with the evaluation. Every sub-program scope — a loop
+// iteration, an if branch, the parameters of a map or fold — moves a
+// slot's old value onto a save stack at its first write to that slot and
+// moves it back on exit. Readers therefore see exactly what a fresh copy
+// of the environment per scope would show, without the copy: evaluation
+// is linear in the input length (DESIGN.md §4.4).
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef RELC_IR_INTERP_H
@@ -27,12 +37,14 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
 
 namespace relc {
 namespace ir {
 
-/// Variable environment.
+/// A named environment: the seed of Evaluator::evalExpr.
 using Env = std::map<std::string, Value>;
 
 /// The effect context threading extensional effects through evaluation.
@@ -63,19 +75,46 @@ public:
   Evaluator(const SourceFn &Fn, EffectCtx &Ctx, EvalOptions Opts = {})
       : Fn(Fn), Ctx(Ctx), FuelLeft(Opts.Fuel) {}
 
-  /// Evaluates a pure expression under \p E.
+  /// Evaluates a pure expression in a frame seeded from \p E.
   Result<Value> evalExpr(const Env &E, const Expr &Ex);
 
-  /// Evaluates a program under \p E; returns the values of its return tuple.
-  Result<std::vector<Value>> evalProg(const Env &E, const Prog &P);
+  /// Evaluates the function's body with its parameters bound to \p Args
+  /// (one per parameter, in order); returns its return tuple.
+  Result<std::vector<Value>> evalBody(const std::vector<Value> &Args);
 
 private:
   const SourceFn &Fn;
   EffectCtx &Ctx;
   uint64_t FuelLeft;
 
-  Result<Value> evalBound(Env &E, const Binding &B);
-  Status bindResults(Env &E, const Binding &B, Value V);
+  /// One name's binding.
+  struct Slot {
+    std::optional<Value> V; ///< Empty when unbound.
+    unsigned WrittenAt = 0; ///< Depth of the innermost scope that saved it.
+  };
+  /// A slot as it was before the current scope first wrote it.
+  struct Saved {
+    unsigned Index;
+    Slot Old;
+  };
+
+  std::unordered_map<const std::string *, unsigned> SlotOfName;
+  std::unordered_map<std::string, unsigned> SlotOfText;
+  std::vector<Slot> Frame;
+  std::vector<Saved> SaveStack;
+  unsigned Depth = 0; ///< Scopes entered; 0 while seeding the frame.
+
+  void resetFrame();
+  unsigned slot(const std::string &Name);
+  const Value *lookup(unsigned S) const;
+  void write(unsigned S, Value V);
+  size_t enterScope();
+  void leaveScope(size_t Mark);
+
+  Result<Value> eval(const Expr &Ex);
+  Result<std::vector<Value>> evalProg(const Prog &P);
+  Result<Value> evalBound(const Binding &B);
+  Status bindResults(const Binding &B, Value V);
 };
 
 /// Evaluates \p Fn applied to \p Args (one Value per parameter, in order),

@@ -31,6 +31,12 @@ LinTerm LinTerm::sym(const std::string &Name) {
   return T;
 }
 
+LinTerm LinTerm::unknown() {
+  LinTerm T;
+  T.Known = false;
+  return T;
+}
+
 void LinTerm::normalize() {
   for (auto It = Coeffs.begin(); It != Coeffs.end();) {
     if (It->second == 0)
@@ -41,10 +47,16 @@ void LinTerm::normalize() {
 }
 
 LinTerm LinTerm::operator+(const LinTerm &O) const {
+  if (!Known || !O.Known)
+    return unknown();
   LinTerm T = *this;
-  T.Const += O.Const;
-  for (const auto &[S, C] : O.Coeffs)
-    T.Coeffs[S] += C;
+  if (__builtin_add_overflow(T.Const, O.Const, &T.Const))
+    return unknown();
+  for (const auto &[S, C] : O.Coeffs) {
+    int64_t &Sum = T.Coeffs[S];
+    if (__builtin_add_overflow(Sum, C, &Sum))
+      return unknown();
+  }
   T.normalize();
   return T;
 }
@@ -54,22 +66,33 @@ LinTerm LinTerm::operator-(const LinTerm &O) const {
 }
 
 LinTerm LinTerm::scaled(int64_t Factor) const {
+  if (!Known)
+    return unknown();
   LinTerm T;
-  T.Const = Const * Factor;
+  if (__builtin_mul_overflow(Const, Factor, &T.Const))
+    return unknown();
   for (const auto &[S, C] : Coeffs)
-    T.Coeffs[S] = C * Factor;
+    if (__builtin_mul_overflow(C, Factor, &T.Coeffs[S]))
+      return unknown();
   T.normalize();
   return T;
 }
 
+/// |V| without negating INT64_MIN.
+static uint64_t magnitude(int64_t V) {
+  return V < 0 ? uint64_t(0) - uint64_t(V) : uint64_t(V);
+}
+
 std::string LinTerm::str() const {
+  if (!Known)
+    return "<overflow>";
   std::string Out;
   for (const auto &[S, C] : Coeffs) {
     if (!Out.empty())
       Out += C >= 0 ? " + " : " - ";
     else if (C < 0)
       Out += "-";
-    int64_t A = C < 0 ? -C : C;
+    uint64_t A = magnitude(C);
     if (A != 1)
       Out += std::to_string(A) + "*";
     Out += S;
@@ -79,7 +102,7 @@ std::string LinTerm::str() const {
       Out += Const >= 0 ? " + " : " - ";
     else if (Const < 0)
       Out += "-";
-    Out += std::to_string(Const < 0 ? -Const : Const);
+    Out += std::to_string(magnitude(Const));
   }
   return Out;
 }
@@ -91,26 +114,33 @@ LinTerm ls(const std::string &Name) { return LinTerm::sym(Name); }
 // Fact database.
 //===----------------------------------------------------------------------===//
 
+static bool fitsInt64(__int128 V) {
+  return V >= INT64_MIN && V <= INT64_MAX;
+}
+
 void FactDb::addGe0(LinTerm T, std::string Reason) {
+  if (!T.known())
+    return; // No information; dropping a fact can only lose proofs.
   // Harvest per-symbol interval bounds from single-symbol facts:
   //   c·x + k ≥ 0  with  c > 0  gives  x ≥ ⌈−k/c⌉,
   //                with  c < 0  gives  x ≤ ⌊k/(−c)⌋.
+  // Computed in 128 bits; a bound outside int64 is not cached.
   if (T.coeffs().size() == 1) {
     const auto &[Sym, C] = *T.coeffs().begin();
-    int64_t K = T.constPart();
+    __int128 K = T.constPart();
     if (C > 0) {
       // x ≥ ceil(-K / C).
-      int64_t Bound = -K >= 0 ? (-K + C - 1) / C : -((K) / C);
+      __int128 Bound = -K >= 0 ? (-K + C - 1) / C : -(K / C);
       auto It = Lower.find(Sym);
-      if (It == Lower.end() || Bound > It->second)
-        Lower[Sym] = Bound;
+      if (fitsInt64(Bound) && (It == Lower.end() || Bound > It->second))
+        Lower[Sym] = int64_t(Bound);
     } else {
-      int64_t D = -C;
+      __int128 D = -__int128(C);
       // x ≤ floor(K / D).
-      int64_t Bound = K >= 0 ? K / D : -((-K + D - 1) / D);
+      __int128 Bound = K >= 0 ? K / D : -((-K + D - 1) / D);
       auto It = Upper.find(Sym);
-      if (It == Upper.end() || Bound < It->second)
-        Upper[Sym] = Bound;
+      if (fitsInt64(Bound) && (It == Upper.end() || Bound < It->second))
+        Upper[Sym] = int64_t(Bound);
     }
   }
   Rows.push_back(Row{std::move(T), std::move(Reason)});
@@ -119,19 +149,15 @@ void FactDb::addGe0(LinTerm T, std::string Reason) {
 bool FactDb::intervalImpliesLe(const LinTerm &A, const LinTerm &B) const {
   // A ≤ B iff min(B − A) ≥ 0; lower-bound B − A termwise from the cache.
   LinTerm D = B - A;
+  if (!D.known())
+    return false;
   __int128 Min = D.constPart();
   for (const auto &[Sym, C] : D.coeffs()) {
-    if (C > 0) {
-      auto It = Lower.find(Sym);
-      if (It == Lower.end())
-        return false;
-      Min += __int128(C) * It->second;
-    } else {
-      auto It = Upper.find(Sym);
-      if (It == Upper.end())
-        return false;
-      Min += __int128(C) * It->second;
-    }
+    const std::map<std::string, int64_t> &Side = C > 0 ? Lower : Upper;
+    auto It = Side.find(Sym);
+    if (It == Side.end() ||
+        __builtin_add_overflow(Min, __int128(C) * It->second, &Min))
+      return false;
   }
   return Min >= 0;
 }
@@ -177,6 +203,15 @@ constexpr __int128 kMagCap = (__int128(1) << 100);
 
 bool tooBig(__int128 V) { return V > kMagCap || V < -kMagCap; }
 
+/// *Out = A·X + B·Y, or false when it leaves the magnitude cap (checked
+/// at every step, so the 128-bit arithmetic itself never overflows).
+bool mulAdd(__int128 A, __int128 X, __int128 B, __int128 Y, __int128 *Out) {
+  __int128 P, Q;
+  return !__builtin_mul_overflow(A, X, &P) &&
+         !__builtin_mul_overflow(B, Y, &Q) &&
+         !__builtin_add_overflow(P, Q, Out) && !tooBig(*Out);
+}
+
 WideRow widen(const LinTerm &T) {
   WideRow R;
   R.Const = T.constPart();
@@ -192,32 +227,33 @@ bool combine(const WideRow &Pos, const WideRow &Neg, std::string_view X,
              WideRow *Out) {
   __int128 A = -Neg.coeffOf(X), B = Pos.coeffOf(X);
   WideRow R;
-  R.Const = A * Pos.Const + B * Neg.Const;
-  if (tooBig(R.Const))
+  if (!mulAdd(A, Pos.Const, B, Neg.Const, &R.Const))
     return false;
   R.Coeffs.reserve(Pos.Coeffs.size() + Neg.Coeffs.size());
   auto PI = Pos.Coeffs.begin(), PE = Pos.Coeffs.end();
   auto NI = Neg.Coeffs.begin(), NE = Neg.Coeffs.end();
   while (PI != PE || NI != NE) {
     std::string_view S;
-    __int128 C = 0;
+    __int128 PC = 0, NC = 0;
     if (NI == NE || (PI != PE && PI->first < NI->first)) {
       S = PI->first;
-      C = A * PI->second;
+      PC = PI->second;
       ++PI;
     } else if (PI == PE || NI->first < PI->first) {
       S = NI->first;
-      C = B * NI->second;
+      NC = NI->second;
       ++NI;
     } else {
       S = PI->first;
-      C = A * PI->second + B * NI->second;
+      PC = PI->second;
+      NC = NI->second;
       ++PI;
       ++NI;
     }
     if (S == X)
       continue;
-    if (tooBig(C))
+    __int128 C;
+    if (!mulAdd(A, PC, B, NC, &C))
       return false;
     if (C != 0)
       R.Coeffs.emplace_back(S, C);
@@ -230,6 +266,10 @@ bool combine(const WideRow &Pos, const WideRow &Neg, std::string_view X,
 
 bool FactDb::refutes(const std::vector<LinTerm> &Extra,
                      size_t MaxVars) const {
+  // An unknown goal term (its arithmetic overflowed) cannot be refuted.
+  if (std::any_of(Extra.begin(), Extra.end(),
+                  [](const LinTerm &T) { return !T.known(); }))
+    return false;
   // Budget exhaustion answers "cannot refute" — the same conservative
   // verdict the effort caps below produce, so exhaustion can only make
   // callers refuse, never accept wrongly.
@@ -382,19 +422,15 @@ bool FactDb::entailsLt(const LinTerm &A, const LinTerm &B) const {
 }
 
 std::optional<int64_t> FactDb::intervalUpperBound(const LinTerm &T) const {
+  if (!T.known())
+    return std::nullopt;
   __int128 Max = T.constPart();
   for (const auto &[Sym, C] : T.coeffs()) {
-    if (C > 0) {
-      auto It = Upper.find(Sym);
-      if (It == Upper.end())
-        return std::nullopt;
-      Max += __int128(C) * It->second;
-    } else {
-      auto It = Lower.find(Sym);
-      if (It == Lower.end())
-        return std::nullopt;
-      Max += __int128(C) * It->second;
-    }
+    const std::map<std::string, int64_t> &Side = C > 0 ? Upper : Lower;
+    auto It = Side.find(Sym);
+    if (It == Side.end() ||
+        __builtin_add_overflow(Max, __int128(C) * It->second, &Max))
+      return std::nullopt;
   }
   constexpr __int128 Cap = __int128(1) << 62;
   if (Max > Cap || Max < -Cap)

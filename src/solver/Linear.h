@@ -51,6 +51,12 @@ namespace relc {
 namespace solver {
 
 /// An affine term: Σ Coeff·Sym + Const over integer coefficients.
+///
+/// Arithmetic is overflow-checked: a result that leaves int64 is *unknown*
+/// and stays unknown through further arithmetic. An unknown term carries
+/// no information — it is not constant, has no coefficients, and FactDb
+/// neither records it as a fact nor proves it as a goal — so an overflow
+/// can only lose a proof, never make a wrapped one.
 class LinTerm {
 public:
   LinTerm() = default;
@@ -65,14 +71,17 @@ public:
   const std::map<std::string, int64_t> &coeffs() const { return Coeffs; }
   int64_t constPart() const { return Const; }
 
-  bool isConstant() const { return Coeffs.empty(); }
+  bool isConstant() const { return Known && Coeffs.empty(); }
+  bool known() const { return Known; }
 
   std::string str() const;
 
 private:
   std::map<std::string, int64_t> Coeffs; ///< Zero coefficients are erased.
   int64_t Const = 0;
+  bool Known = true;
 
+  static LinTerm unknown();
   void normalize();
 };
 
@@ -84,7 +93,7 @@ LinTerm ls(const std::string &Name);
 /// entailment queries. Copyable: branches and loop bodies extend a copy.
 class FactDb {
 public:
-  /// Adds the fact T ≥ 0.
+  /// Adds the fact T ≥ 0; an unknown T is dropped.
   void addGe0(LinTerm T, std::string Reason = "");
 
   /// Adds A ≤ B.

@@ -22,13 +22,22 @@ SExprPtr sMul(SExprPtr Lhs, SExprPtr Rhs) {
   return std::make_shared<SMul>(std::move(Lhs), std::move(Rhs));
 }
 
+// Both languages compute in two's-complement int64: sums and products wrap
+// (signed overflow would be undefined behaviour), identically on both sides.
+static int64_t wrapAdd(int64_t A, int64_t B) {
+  return int64_t(uint64_t(A) + uint64_t(B));
+}
+static int64_t wrapMul(int64_t A, int64_t B) {
+  return int64_t(uint64_t(A) * uint64_t(B));
+}
+
 int64_t evalS(const SExpr &E) {
   if (const auto *I = dyn_cast<SInt>(&E))
     return I->value();
   if (const auto *A = dyn_cast<SAdd>(&E))
-    return evalS(*A->lhs()) + evalS(*A->rhs());
+    return wrapAdd(evalS(*A->lhs()), evalS(*A->rhs()));
   const auto *M = cast<SMul>(&E);
-  return evalS(*M->lhs()) * evalS(*M->rhs());
+  return wrapMul(evalS(*M->lhs()), evalS(*M->rhs()));
 }
 
 std::string TOp::str() const {
@@ -75,7 +84,8 @@ std::vector<int64_t> evalT(const TProgram &P, std::vector<int64_t> Stack,
       Stack.pop_back();
       int64_t Z1 = Stack.back();
       Stack.pop_back();
-      Stack.push_back(Op.TheKind == TOp::Kind::PopAdd ? Z1 + Z2 : Z1 * Z2);
+      Stack.push_back(Op.TheKind == TOp::Kind::PopAdd ? wrapAdd(Z1, Z2)
+                                                      : wrapMul(Z1, Z2));
       break;
     }
     }

@@ -158,7 +158,9 @@ TEST(InterpTest, WhileMeasureViolationIsAnError) {
   EffectCtx Ctx;
   Result<std::vector<Value>> R = evalFn(Fn, {}, Ctx);
   ASSERT_FALSE(bool(R));
-  EXPECT_NE(R.error().str().find("measure"), std::string::npos);
+  EXPECT_EQ(R.error().str(),
+            "while measure did not strictly decrease (1 -> 2)\n"
+            "  note: in let/n x := while (x <>? 0) {x := 1} {measure x}");
 }
 
 TEST(InterpTest, IfBoundSelectsBranchProgram) {
@@ -298,7 +300,82 @@ TEST(InterpTest, FuelBoundsRunawayEvaluation) {
   Opts.Fuel = 10'000;
   Result<std::vector<Value>> R = evalFn(Fn, {}, Ctx, Opts);
   ASSERT_FALSE(bool(R));
-  EXPECT_NE(R.error().str().find("fuel"), std::string::npos);
+  EXPECT_EQ(R.error().str(), "out of fuel\n"
+            "  note: in let/n x := while (x <>? 0) {x := 0x10000000000} "
+            "{measure x}");
+}
+
+TEST(InterpTest, UnboundVariableInRangedForBodyIsNamed) {
+  FnBuilder FB("f", Monad::Pure);
+  ProgBuilder Body;
+  Body.let("c", addw(v("c"), v("ghost")));
+  ProgBuilder B;
+  B.letMulti({"c"}, mkRange("i", cw(0), cw(3), {acc("c", cw(0))},
+                            std::move(Body).ret({"c"})));
+  SourceFn Fn = std::move(FB).done(std::move(B).ret({"c"}));
+  EffectCtx Ctx;
+  Result<std::vector<Value>> R = evalFn(Fn, {}, Ctx);
+  ASSERT_FALSE(bool(R));
+  EXPECT_EQ(R.error().str(), "unbound variable 'ghost'\n"
+            "  note: in let/n c := (c + ghost)\n"
+            "  note: in let/n c := ranged_for 0 3 (fun i => ...) {c := 0}");
+}
+
+TEST(InterpTest, UnboundReturnInIfBranchIsNamed) {
+  // The then-branch returns a name it never binds; nothing outside binds
+  // it either, and the else-branch's binding must not leak into the then.
+  FnBuilder FB("f", Monad::Pure);
+  FB.wordParam("x");
+  ProgBuilder Then;
+  Then.let("q", cw(1));
+  ProgBuilder Else;
+  Else.let("r", cw(0));
+  ProgBuilder B;
+  B.letMulti({"r"}, mkIf(ltu(v("x"), cw(10)), std::move(Then).ret({"r"}),
+                         std::move(Else).ret({"r"})));
+  SourceFn Fn = std::move(FB).done(std::move(B).ret({"r"}));
+  EffectCtx C1, C2;
+  EXPECT_EQ(run(Fn, {Value::word(50)}, C1)[0].asWord(), 0u);
+  Result<std::vector<Value>> R = evalFn(Fn, {Value::word(5)}, C2);
+  ASSERT_FALSE(bool(R));
+  EXPECT_EQ(R.error().str(), "returned variable 'r' is unbound\n"
+            "  note: in let/n r := if (x <? 10) then (...) else (...)");
+}
+
+TEST(InterpTest, LoopBodySeesOuterBindingEveryIteration) {
+  // The body reads x before rebinding it: every iteration sees the outer
+  // x, never the previous iteration's, and the outer x survives the loop.
+  FnBuilder FB("f", Monad::Pure);
+  ProgBuilder Body;
+  Body.let("h", addw(v("h"), v("x"))).let("x", addw(v("x"), cw(1)));
+  ProgBuilder B;
+  B.let("x", cw(10)).letMulti(
+      {"h"}, mkRange("i", cw(0), cw(3), {acc("h", cw(0))},
+                     std::move(Body).ret({"h"})));
+  SourceFn Fn = std::move(FB).done(std::move(B).ret({"h", "x"}));
+  EffectCtx Ctx;
+  std::vector<Value> Out = run(Fn, {}, Ctx);
+  EXPECT_EQ(Out[0].asWord(), 30u);
+  EXPECT_EQ(Out[1].asWord(), 10u);
+}
+
+TEST(InterpTest, FoldAndMapParamsMayShadowTheWalkedList) {
+  // fold (fun s b => s + b) s 0 and map (fun s => s + 1) s: the
+  // parameter bindings must not disturb the list being walked.
+  FnBuilder FB("f", Monad::Pure);
+  FB.listParam("s", EltKind::U8);
+  ProgBuilder B;
+  B.let("t", mkMap("s", "s", w2b(addw(b2w(v("s")), cw(1)))))
+      .let("sum", mkFold("s", "s", "b", cw(0), addw(v("s"), b2w(v("b")))))
+      .let("last", mkFold("s", "a", "s", cw(0), b2w(v("s"))));
+  SourceFn Fn =
+      std::move(FB).done(std::move(B).ret({"t", "sum", "last", "s"}));
+  EffectCtx Ctx;
+  std::vector<Value> Out = run(Fn, {Value::byteList({1, 2, 3})}, Ctx);
+  EXPECT_EQ(Out[0].asBytes(), (std::vector<uint8_t>{2, 3, 4}));
+  EXPECT_EQ(Out[1].asWord(), 6u);
+  EXPECT_EQ(Out[2].asWord(), 3u);
+  EXPECT_EQ(Out[3].asBytes(), (std::vector<uint8_t>{1, 2, 3}));
 }
 
 } // namespace

@@ -16,12 +16,20 @@
 // small constants); what must NOT pass is an accidental reintroduction
 // of payload-proportional work on the binary path.
 //
+// The same hook bounds the FunLang reference interpreter, which the
+// differential layer runs on every vector: allocations per extra input
+// byte stay a small constant, so no loop iteration copies the
+// environment (a per-iteration copy costs several allocations per
+// iteration, each holding the whole input list).
+//
 //===----------------------------------------------------------------------===//
 
 #define RELC_BENCH_COUNT_ALLOCS
 #include "bench_common.h"
 
+#include "ir/Interp.h"
 #include "pipeline/CertCache.h"
+#include "programs/Programs.h"
 
 #include "gtest/gtest.h"
 
@@ -109,6 +117,39 @@ TEST(AllocCountTest, BinLoadIsConstantAllocationsInPayloadSize) {
   EXPECT_LE(NLarge, 32u) << "binary load allocates more than O(1)";
   uint64_t Delta = NLarge > NSmall ? NLarge - NSmall : NSmall - NLarge;
   EXPECT_LE(Delta, 4u) << "binary load allocations scale with payload size";
+}
+
+/// Allocations of one reference-model run of suite program \p Name on
+/// \p Len random bytes; the arguments are built outside the count.
+uint64_t modelEvalAllocs(const std::string &Name, size_t Len) {
+  const programs::ProgramDef *P = programs::findProgram(Name);
+  Rng R(0x5eed);
+  std::vector<ir::Value> Args = {ir::Value::byteList(R.bytes(Len)),
+                                 ir::Value::word(Len)};
+  bool Ok = false;
+  uint64_t N = allocationsDuring([&] {
+    ir::EffectCtx Ctx;
+    Ok = bool(ir::evalFn(P->Model, Args, Ctx));
+  });
+  EXPECT_TRUE(Ok) << Name << " at " << Len << " bytes";
+  return N;
+}
+
+TEST(AllocCountTest, ModelEvalAllocationsPerInputByteAreBounded) {
+  // utf8 walks its input in a while loop, ip in a ranged_for over byte
+  // pairs: the two loop forms the differential layer spends its time in.
+  const struct {
+    const char *Program;
+    double MaxPerByte;
+  } Cases[] = {{"utf8", 4.0}, {"ip", 1.0}};
+  for (const auto &C : Cases) {
+    uint64_t Small = modelEvalAllocs(C.Program, 1000);
+    uint64_t Large = modelEvalAllocs(C.Program, 4000);
+    double PerByte = (double(Large) - double(Small)) / 3000.0;
+    EXPECT_LE(PerByte, C.MaxPerByte)
+        << C.Program << ": " << Small << " allocations at 1000 bytes, "
+        << Large << " at 4000";
+  }
 }
 
 TEST(AllocCountTest, BinLoadRoundTripsWhileCounted) {

@@ -174,6 +174,55 @@ TEST(LinearTest, ConstantContradictionInFactsRefutesEverything) {
   EXPECT_TRUE(bool(F.proveLt(ls("x") + lc(100), ls("x"))));
 }
 
+TEST(LinearTest, VacuousFactAtInt64MinProvesNothing) {
+  // x ≥ INT64_MIN holds of every x. Stored as x − INT64_MIN ≥ 0, whose
+  // constant does not fit int64: the fact must add no information, not
+  // wrap into x ≥ 2^63.
+  FactDb F;
+  F.addLe(lc(INT64_MIN), ls("x"));
+  EXPECT_FALSE(F.entailsLe(lc(1000), ls("x")));
+  EXPECT_FALSE(bool(F.proveLe(lc(1000), ls("x"))));
+  EXPECT_FALSE(F.inconsistent());
+}
+
+TEST(LinTermTest, OverflowIsUnknownAndStaysUnknown) {
+  LinTerm Big = lc(INT64_MAX) + lc(1);
+  EXPECT_FALSE(Big.known());
+  EXPECT_FALSE(Big.isConstant());
+  EXPECT_TRUE(Big.coeffs().empty());
+  EXPECT_FALSE((Big - Big).known());
+  EXPECT_FALSE((lc(0) + Big).known());
+  EXPECT_FALSE(Big.scaled(0).known());
+  EXPECT_FALSE(ls("x").scaled(INT64_MIN).scaled(-1).known());
+  EXPECT_FALSE((ls("x").scaled(INT64_MAX) + ls("x")).known());
+  EXPECT_TRUE((lc(INT64_MAX) + lc(-1)).known());
+  EXPECT_EQ(Big.str(), "<overflow>");
+  // Printing never negates INT64_MIN.
+  EXPECT_EQ(lc(INT64_MIN).str(), "-9223372036854775808");
+  EXPECT_EQ((ls("x").scaled(INT64_MIN) + lc(INT64_MIN)).str(),
+            "-9223372036854775808*x - 9223372036854775808");
+}
+
+TEST(LinearTest, UnknownTermsAreNeitherFactsNorProvableGoals) {
+  FactDb F;
+  F.addGe0(ls("x"));
+  F.addLe(ls("x"), lc(10));
+  LinTerm Big = ls("x").scaled(INT64_MAX).scaled(2);
+  ASSERT_FALSE(Big.known());
+  size_t Before = F.size();
+  F.addGe0(Big);
+  F.addLe(Big, lc(0));
+  EXPECT_EQ(F.size(), Before);
+  EXPECT_FALSE(F.entailsLe(Big, lc(0)));
+  EXPECT_FALSE(F.entailsLe(lc(0), Big));
+  EXPECT_FALSE(F.entailsLt(Big, Big));
+  EXPECT_FALSE(F.probeLe(Big, Big));
+  EXPECT_FALSE(F.intervalUpperBound(Big).has_value());
+  EXPECT_FALSE(bool(F.proveEq(Big, Big)));
+  // The known facts still prove what they proved before.
+  EXPECT_TRUE(F.entailsLe(ls("x"), lc(10)));
+}
+
 TEST(LinearTest, FailureMessageListsGoalAndFacts) {
   FactDb F;
   F.addLe(ls("x"), lc(4), "example fact");
