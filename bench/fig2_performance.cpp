@@ -14,18 +14,18 @@
 //
 // Outputs both google-benchmark rows (bytes/sec + cycles_per_byte
 // counters) and, afterwards, the paper-shaped summary table with the
-// Rupicola/handwritten ratio per program.
+// Rupicola/handwritten ratio per program, also written to
+// BENCH_fig2.json.
 //
 //===----------------------------------------------------------------------===//
 
-#include "bench_common.h"
-#include "ref_impls.h"
-#include "relc_generated.h"
+#include "fig2_kernels.h"
 
 #include <benchmark/benchmark.h>
 
-#include <cassert>
+#include <cmath>
 #include <cstring>
+#include <fstream>
 
 using namespace relc_bench;
 
@@ -34,86 +34,10 @@ namespace {
 constexpr size_t kBufSize = 1 << 20; // 1 MiB, as in the paper.
 constexpr unsigned kReps = 200;
 
-struct Task {
-  const char *Name;
-  std::vector<uint8_t> (*MakeInput)(size_t, uint64_t);
-  /// Runs one full pass over the buffer; result folded into a sink to
-  /// defeat dead-code elimination. Mutating tasks work on a scratch copy.
-  uint64_t (*RunGenerated)(uint8_t *, size_t);
-  uint64_t (*RunHandwritten)(uint8_t *, size_t);
-  bool Mutates;
-};
-
-uint64_t genFnv1a(uint8_t *S, size_t N) {
-  return relc_fnv1a(uintptr_t(S), N);
-}
-uint64_t refFnv1aRun(uint8_t *S, size_t N) { return ref_fnv1a(S, N); }
-
-uint64_t genUtf8(uint8_t *S, size_t N) { return relc_utf8(uintptr_t(S), N); }
-uint64_t refUtf8Run(uint8_t *S, size_t N) { return ref_utf8(S, N); }
-
-uint64_t genUpstr(uint8_t *S, size_t N) {
-  relc_upstr(uintptr_t(S), N);
-  return S[0];
-}
-uint64_t refUpstrRun(uint8_t *S, size_t N) {
-  ref_upstr(S, N);
-  return S[0];
-}
-
-// m3s is a scalar kernel; the driver scrambles every 32-bit word of the
-// buffer (identical driver on both sides, so the comparison isolates the
-// kernel + call).
-uint64_t genM3s(uint8_t *S, size_t N) {
-  uint64_t Acc = 0;
-  for (size_t I = 0; I + 4 <= N; I += 4) {
-    uint32_t K;
-    std::memcpy(&K, S + I, 4);
-    Acc ^= relc_m3s(K);
-  }
-  return Acc;
-}
-uint64_t refM3sRun(uint8_t *S, size_t N) {
-  uint64_t Acc = 0;
-  for (size_t I = 0; I + 4 <= N; I += 4) {
-    uint32_t K;
-    std::memcpy(&K, S + I, 4);
-    Acc ^= ref_m3s(K);
-  }
-  return Acc;
-}
-
-uint64_t genIp(uint8_t *S, size_t N) { return relc_ip_chk(uintptr_t(S), N); }
-uint64_t refIpRun(uint8_t *S, size_t N) { return ref_ip_chk(S, N); }
-
-uint64_t genFasta(uint8_t *S, size_t N) {
-  relc_fasta(uintptr_t(S), N);
-  return S[0];
-}
-uint64_t refFastaRun(uint8_t *S, size_t N) {
-  ref_fasta(S, N);
-  return S[0];
-}
-
-uint64_t genCrc32(uint8_t *S, size_t N) {
-  return relc_crc32(uintptr_t(S), N);
-}
-uint64_t refCrc32Run(uint8_t *S, size_t N) { return ref_crc32(S, N); }
-
-const Task kTasks[] = {
-    {"fnv1a", randomBytes, genFnv1a, refFnv1aRun, false},
-    {"utf8", utf8Bytes, genUtf8, refUtf8Run, false},
-    {"upstr", asciiBytes, genUpstr, refUpstrRun, true},
-    {"m3s", randomBytes, genM3s, refM3sRun, false},
-    {"ip", randomBytes, genIp, refIpRun, false},
-    {"fasta", dnaBytes, genFasta, refFastaRun, true},
-    {"crc32", randomBytes, genCrc32, refCrc32Run, false},
-};
-
 /// Cross-checks that both implementations agree before any timing: the
 /// bench refuses to compare semantically different programs.
 void crossCheck() {
-  for (const Task &T : kTasks) {
+  for (const Kernel &T : kKernels) {
     std::vector<uint8_t> In = T.MakeInput(4096, 42);
     std::vector<uint8_t> A = In, B = In;
     uint64_t RA = T.RunGenerated(A.data(), A.size());
@@ -128,7 +52,7 @@ void crossCheck() {
   }
 }
 
-void benchOne(benchmark::State &State, const Task &T, bool Generated) {
+void benchOne(benchmark::State &State, const Kernel &T, bool Generated) {
   std::vector<uint8_t> Input = T.MakeInput(kBufSize, 0xf19u + Generated);
   std::vector<uint8_t> Scratch = Input;
   uint64_t Sink = 0;
@@ -155,7 +79,7 @@ void benchOne(benchmark::State &State, const Task &T, bool Generated) {
 }
 
 void registerAll() {
-  for (const Task &T : kTasks) {
+  for (const Kernel &T : kKernels) {
     benchmark::RegisterBenchmark(
         (std::string("fig2/") + T.Name + "/rupicola").c_str(),
         [&T](benchmark::State &S) { benchOne(S, T, true); });
@@ -167,34 +91,67 @@ void registerAll() {
 
 /// The paper-shaped table: per program, cycles/byte ±95% CI for both
 /// implementations, plus the ratio (1.00 = parity, the paper's claim).
+/// The same numbers, their geomean ratio and the C compiler that built
+/// both sides go to BENCH_fig2.json in the working directory.
 void paperTable() {
+  const double GHz = estimateGHz();
   std::printf("\n=== Figure 2: cycles per byte, 1 MiB input, %u runs, 95%% "
               "CI (lower is better) ===\n",
               kReps);
-  std::printf("TSC ~%.2f GHz\n", estimateGHz());
+  std::printf("TSC ~%.2f GHz\n", GHz);
   std::printf("%-8s %22s %22s %8s\n", "program", "Rupicola (generated C)",
               "handwritten C", "ratio");
-  for (const Task &T : kTasks) {
+  std::ofstream J("BENCH_fig2.json");
+  J << "{\n  \"bench\": \"fig2_performance\",\n  \"c_compiler\": \""
+    << RELC_C_COMPILER << "\",\n  \"c_flags\": \"" << RELC_C_FLAGS
+    << "\",\n  \"buffer_bytes\": " << kBufSize << ",\n  \"reps\": "
+    << kReps << ",\n  \"programs\": [\n";
+  double LogSum = 0;
+  for (const Kernel &T : kKernels) {
     std::vector<uint8_t> Input = T.MakeInput(kBufSize, 0xbeef);
     std::vector<uint8_t> Buf = Input;
-    auto Mk = [&](bool Gen) {
-      return [&, Gen] {
+    // Generated and handwritten passes alternate, and which goes first
+    // flips every rep, so host drift moves both sides alike. The first
+    // two reps are warm-up.
+    std::vector<double> GenCpb, RefCpb;
+    for (unsigned Rep = 0; Rep < kReps + 2; ++Rep)
+      for (bool Gen : {Rep % 2 == 0, Rep % 2 != 0}) {
+        uint64_t C0 = cycleCount();
         if (T.Mutates)
           std::memcpy(Buf.data(), Input.data(), Input.size());
         uint64_t R = (Gen ? T.RunGenerated : T.RunHandwritten)(Buf.data(),
                                                                Buf.size());
         benchmark::DoNotOptimize(R);
-      };
-    };
-    Stats G = cyclesPerByte(Mk(true), kBufSize, kReps);
-    Stats H = cyclesPerByte(Mk(false), kBufSize, kReps);
+        if (Rep >= 2)
+          (Gen ? GenCpb : RefCpb)
+              .push_back(double(cycleCount() - C0) / double(kBufSize));
+      }
+    Stats G = stats(GenCpb);
+    Stats H = stats(RefCpb);
+    const double Ratio = H.Mean > 0 ? G.Mean / H.Mean : 0.0;
+    LogSum += std::log(Ratio);
     std::printf("%-8s %13.3f ± %6.3f %13.3f ± %6.3f %7.2fx\n", T.Name,
-                G.Mean, G.Ci95, H.Mean, H.Ci95,
-                H.Mean > 0 ? G.Mean / H.Mean : 0.0);
+                G.Mean, G.Ci95, H.Mean, H.Ci95, Ratio);
+    char Row[256];
+    std::snprintf(Row, sizeof(Row),
+                  "    {\"name\": \"%s\", \"gen_cycles_per_byte\": %.4f, "
+                  "\"gen_ci95\": %.4f, \"ref_cycles_per_byte\": %.4f, "
+                  "\"ref_ci95\": %.4f, \"ratio\": %.4f}%s\n",
+                  T.Name, G.Mean, G.Ci95, H.Mean, H.Ci95, Ratio,
+                  &T == &kKernels[std::size(kKernels) - 1] ? "" : ",");
+    J << Row;
   }
+  const double Geomean = std::exp(LogSum / double(std::size(kKernels)));
+  char Tail[128];
+  std::snprintf(Tail, sizeof(Tail),
+                "  ],\n  \"geomean_ratio\": %.4f,\n  \"tsc_ghz\": %.3f\n}\n",
+                Geomean, GHz);
+  J << Tail;
+  std::printf("geomean ratio %.3fx\n", Geomean);
   std::printf("(paper: ratios within optimizing-compiler fluctuation of "
               "1.0x across GCC/Clang; one missed vectorization in upstr "
               "with GCC)\n");
+  std::printf("wrote BENCH_fig2.json\n");
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include "support/StringExtras.h"
 
 #include <map>
+#include <optional>
 #include <set>
 
 namespace relc {
@@ -19,42 +20,103 @@ using namespace bedrock;
 
 namespace {
 
-/// Collects every local name assigned anywhere in a command (excluding
-/// stackalloc binders, which are declared by their scoped block).
-void collectLocals(const Cmd &C, std::set<std::string> *Out) {
+/// How the locals of a function body get their values.
+struct Bindings {
+  /// Every `x = e` (the assignments that can make x a byte).
+  std::vector<const Set *> Sets;
+  /// Locals bound by call and interact returns (never bytes: the value
+  /// comes from outside the function being printed).
+  std::set<std::string> Opaque;
+  /// Stackalloc binders (declared by their scoped block, never bytes).
+  std::set<std::string> Scoped;
+};
+
+/// Records how each local of \p C is bound.
+void collectBindings(const Cmd &C, Bindings *Out) {
   switch (C.kind()) {
   case Cmd::Kind::Set:
-    Out->insert(cast<Set>(&C)->name());
+    Out->Sets.push_back(cast<Set>(&C));
     return;
   case Cmd::Kind::Seq: {
     const auto *S = cast<Seq>(&C);
-    collectLocals(*S->first(), Out);
-    collectLocals(*S->second(), Out);
+    collectBindings(*S->first(), Out);
+    collectBindings(*S->second(), Out);
     return;
   }
   case Cmd::Kind::If: {
     const auto *I = cast<If>(&C);
-    collectLocals(*I->thenCmd(), Out);
-    collectLocals(*I->elseCmd(), Out);
+    collectBindings(*I->thenCmd(), Out);
+    collectBindings(*I->elseCmd(), Out);
     return;
   }
   case Cmd::Kind::While:
-    collectLocals(*cast<While>(&C)->body(), Out);
+    collectBindings(*cast<While>(&C)->body(), Out);
     return;
   case Cmd::Kind::Call:
     for (const std::string &R : cast<Call>(&C)->rets())
-      Out->insert(R);
+      Out->Opaque.insert(R);
     return;
   case Cmd::Kind::Interact:
     for (const std::string &R : cast<Interact>(&C)->rets())
-      Out->insert(R);
+      Out->Opaque.insert(R);
     return;
-  case Cmd::Kind::Stackalloc:
-    collectLocals(*cast<Stackalloc>(&C)->body(), Out);
+  case Cmd::Kind::Stackalloc: {
+    const auto *S = cast<Stackalloc>(&C);
+    Out->Scoped.insert(S->name());
+    collectBindings(*S->body(), Out);
     return;
+  }
   default:
     return;
   }
+}
+
+/// Whether \p E is in [0, 255] whenever every local in \p Bytes is: a
+/// literal below 256, a byte local, a 1-byte load or table read, or an `&`
+/// with such an operand.
+bool isByteValued(const Expr &E, const std::set<std::string> &Bytes) {
+  switch (E.kind()) {
+  case Expr::Kind::Literal:
+    return cast<Literal>(&E)->value() < 256;
+  case Expr::Kind::Var:
+    return Bytes.count(cast<Var>(&E)->name()) != 0;
+  case Expr::Kind::Load:
+    return cast<Load>(&E)->size() == AccessSize::Byte;
+  case Expr::Kind::TableGet:
+    return cast<TableGet>(&E)->size() == AccessSize::Byte;
+  case Expr::Kind::Bin: {
+    const auto *B = cast<Bin>(&E);
+    return B->op() == BinOp::And && (isByteValued(*B->lhs(), Bytes) ||
+                                     isByteValued(*B->rhs(), Bytes));
+  }
+  }
+  return false;
+}
+
+/// The locals of \p Fn that hold a byte at every read: the greatest set of
+/// assigned locals, arguments and \p B's opaque and scoped names excluded,
+/// whose every assignment is byte-valued under the set itself. Sound
+/// because C declares each local `= 0` and, by induction over execution,
+/// every store to a member keeps it in [0, 255].
+std::set<std::string> byteLocals(const Function &Fn, const Bindings &B) {
+  std::set<std::string> Bytes;
+  for (const Set *S : B.Sets)
+    Bytes.insert(S->name());
+  for (const std::string &N : B.Opaque)
+    Bytes.erase(N);
+  for (const std::string &N : B.Scoped)
+    Bytes.erase(N);
+  for (const std::string &A : Fn.Args)
+    Bytes.erase(A);
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (const Set *S : B.Sets)
+      if (Bytes.count(S->name()) && !isByteValued(*S->value(), Bytes)) {
+        Bytes.erase(S->name());
+        Changed = true;
+      }
+  }
+  return Bytes;
 }
 
 /// Maps Bedrock2 names (which may contain '$') to unique C identifiers.
@@ -130,10 +192,14 @@ public:
       Body += "\n  };\n";
     }
 
-    // Locals assigned anywhere are declared up front (Bedrock2 locals are
-    // function-scoped words).
-    std::set<std::string> Locals;
-    collectLocals(*Fn.Body, &Locals);
+    // Locals assigned anywhere (stackalloc binders aside) are declared up
+    // front (Bedrock2 locals are function-scoped words).
+    Bindings B;
+    collectBindings(*Fn.Body, &B);
+    ByteLocals = byteLocals(Fn, B);
+    std::set<std::string> Locals = B.Opaque;
+    for (const Set *S : B.Sets)
+      Locals.insert(S->name());
     for (const std::string &A : Fn.Args)
       Locals.erase(A);
     for (const std::string &L : Locals)
@@ -154,6 +220,7 @@ private:
   const Function &Fn;
   const CEmitOptions &Opts;
   NameMap Names;
+  std::set<std::string> ByteLocals;
 
   std::string pad(unsigned Depth) { return std::string(2 * Depth, ' '); }
 
@@ -184,6 +251,14 @@ private:
     }
     case Expr::Kind::Bin: {
       const auto *B = cast<Bin>(&E);
+      if (std::optional<ByteRangeCheck> RC = byteRangeCheck(*B)) {
+        Result<std::string> X = emitExpr(*RC->X);
+        if (!X)
+          return X;
+        return "((uintptr_t)((uint8_t)(" + *X + " - " +
+               std::to_string(RC->C) + "u) < " + std::to_string(RC->K) +
+               "u))";
+      }
       Result<std::string> L = emitExpr(*B->lhs());
       if (!L)
         return L;
@@ -194,6 +269,31 @@ private:
     }
     }
     return Error("unknown expression kind");
+  }
+
+  /// `(x - c) <u k` with x a byte, 0 < k < 256 and c + k <= 256.
+  struct ByteRangeCheck {
+    const Expr *X;
+    Word C, K;
+  };
+
+  /// The one rule that is not a syntax mapping: such a range check prints
+  /// as the 8-bit compare `(uint8_t)(x - c) < k`, which GCC vectorizes and
+  /// the 64-bit one it does not. Both hold exactly when x is in [c, c + k):
+  /// inside it neither subtraction wraps, and below c the 64-bit one wraps
+  /// past 2^64 - 256 and the 8-bit one to at least 256 - c >= k (DESIGN.md
+  /// §4.4). (k = 0 and k = 256 stay 64-bit: C compilers warn that the
+  /// narrow compare is constant.)
+  std::optional<ByteRangeCheck> byteRangeCheck(const Bin &B) const {
+    const auto *D = dyn_cast<Bin>(B.lhs());
+    const auto *K = dyn_cast<Literal>(B.rhs());
+    if (B.op() != BinOp::LtU || !D || D->op() != BinOp::Sub || !K)
+      return std::nullopt;
+    const auto *C = dyn_cast<Literal>(D->rhs());
+    if (!C || K->value() == 0 || K->value() >= 256 ||
+        C->value() > 256 - K->value() || !isByteValued(*D->lhs(), ByteLocals))
+      return std::nullopt;
+    return ByteRangeCheck{D->lhs(), C->value(), K->value()};
   }
 
   /// Shift amounts: constants below 64 print bare; anything else is masked

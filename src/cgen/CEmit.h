@@ -7,14 +7,23 @@
 //
 // The last, unverified step of the pipeline, mirroring Bedrock2's to-C
 // pretty-printer ("a very small program of just 200 lines that is
-// essentially implementing an identity function", §4.3). It performs a
-// direct syntax mapping:
+// essentially implementing an identity function", §4.3). It is a direct
+// syntax mapping:
 //
 //   words            -> uintptr_t (64-bit)
 //   load/store<n>    -> uint<8n>_t pointer accesses (little-endian host)
 //   inline tables    -> static const arrays local to the function
 //   stackalloc       -> a scoped local byte array
 //   external actions -> calls to the relc_ext_* runtime hooks
+//
+// with one range-guarded rule on top: `(x - c) <u k` prints as the 8-bit
+// `(uint8_t)(x - c) < k` when x is provably a byte and c + k <= 256, the
+// conditions under which the two compares agree (GCC vectorizes only the
+// narrow one). "Provably a byte" is provenance inside the function being
+// printed: a greatest fixpoint over its assignments finds the non-argument
+// locals every assignment of which is a 1-byte load or table read, a
+// literal below 256, another such local, or an `&` with such an operand.
+// DESIGN.md §4.4 gives both soundness arguments.
 //
 // Semantic caveats documented here because the printer is in the trusted
 // base: division/remainder by zero is undefined in C but defined (RISC-V

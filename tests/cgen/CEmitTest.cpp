@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace relc;
 using namespace relc::bedrock;
 
@@ -150,6 +152,124 @@ TEST(CEmitTest, GeneratedSuiteStaysCompactAndPrintable) {
     for (char Ch : *Code)
       Lines += Ch == '\n';
     EXPECT_LT(Lines, 120u) << P.Name; // Tables print 8 entries per line.
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The range-guarded rule: `(x - c) <u k` prints as `(uint8_t)(x - c) < k`
+// when x is provably a byte and c + k <= 256.
+//===----------------------------------------------------------------------===//
+
+TEST(CEmitTest, ByteRangeCheckAgreesWithWordCompareExactlyWhenGuarded) {
+  // The rule's soundness, exhaustively: for a byte x and c + k <= 256 the
+  // 64-bit and the 8-bit compare agree.
+  for (uint64_t X = 0; X < 256; ++X)
+    for (uint64_t C = 0; C < 256; ++C)
+      for (uint64_t K = 0; K <= 256 - C; ++K)
+        ASSERT_EQ(X - C < K, uint8_t(X - C) < K)
+            << "x=" << X << " c=" << C << " k=" << K;
+  // The guard is tight: at c + k = 257 they differ (x = 0 wraps to 255
+  // in 8 bits, which is below 256, but to 2^64 - 1 in 64 bits).
+  const uint64_t X = 0, C = 1, K = 256;
+  EXPECT_NE(X - C < K, uint8_t(X - C) < K);
+}
+
+/// `r = (x - 97) <u 26`, the toupper range check of upstr.
+CmdPtr rangeCheck(const char *X, Word C = 97, Word K = 26,
+                  BinOp Op = BinOp::LtU) {
+  return set("r", bin(Op, sub(var(X), lit(C)), lit(K)));
+}
+
+std::string emit(const Function &F) {
+  Result<std::string> C = cgen::emitFunction(F);
+  EXPECT_TRUE(bool(C));
+  return C ? *C : std::string();
+}
+
+bool narrowed(const std::string &Code, const std::string &X) {
+  return Code.find("(uint8_t)(" + X + " - ") != std::string::npos;
+}
+
+TEST(CEmitTest, UpstrRangeCheckPrintsInByteWidth) {
+  const programs::ProgramDef *P = programs::findProgram("upstr");
+  ASSERT_NE(P, nullptr);
+  core::Compiler Compiler;
+  Result<core::CompileResult> C =
+      Compiler.compileFn(P->Model, P->Spec, P->Hints);
+  ASSERT_TRUE(bool(C));
+  const std::string Code = emit(C->Fn);
+  EXPECT_NE(Code.find("((uintptr_t)((uint8_t)(b - 97u) < 26u))"),
+            std::string::npos)
+      << Code;
+  EXPECT_EQ(Code.find("97ull"), std::string::npos) << Code;
+}
+
+TEST(CEmitTest, LocalLoadedAsByteInBothArmsIsNarrowed) {
+  const std::string Code = emit(fn(
+      "f",
+      seqAll({ifThenElse(var("p"), set("x", load(AccessSize::Byte, var("p"))),
+                         set("x", load(AccessSize::Byte, var("q")))),
+              rangeCheck("x")}),
+      {"p", "q"}, {"r"}));
+  EXPECT_TRUE(narrowed(Code, "x")) << Code;
+}
+
+TEST(CEmitTest, LocalCopiedFromByteLocalIsNarrowed) {
+  const std::string Code = emit(
+      fn("f",
+         seqAll({set("y", load(AccessSize::Byte, var("p"))),
+                 set("x", var("y")), rangeCheck("x")}),
+         {"p"}, {"r"}));
+  EXPECT_TRUE(narrowed(Code, "x")) << Code;
+}
+
+TEST(CEmitTest, CyclicByteLocalIsNarrowed) {
+  // x = x & 0x7f keeps x a byte; so does x = x & m for a word m, which
+  // only the greatest fixpoint sees (x is a byte because x is).
+  for (ExprPtr Mask : {lit(0x7f), var("m")}) {
+    const std::string Code = emit(fn(
+        "f",
+        seqAll({set("x", load(AccessSize::Byte, var("p"))),
+                whileLoop(var("n"), seqAll({set("x", bin(BinOp::And, var("x"),
+                                                         Mask)),
+                                            set("n", sub(var("n"), lit(1)))})),
+                rangeCheck("x")}),
+        {"p", "n", "m"}, {"r"}));
+    EXPECT_TRUE(narrowed(Code, "x")) << Code;
+  }
+}
+
+TEST(CEmitTest, RangeCheckStaysWordWidthUnlessProvablyByte) {
+  const CmdPtr ByteX = set("x", load(AccessSize::Byte, var("p")));
+  const struct {
+    const char *Why;
+    Function F;
+  } Cases[] = {
+      {"argument", fn("f", rangeCheck("x"), {"x"}, {"r"})},
+      {"call return",
+       fn("f", seqAll({call({"x"}, "g", {}), rangeCheck("x")}), {}, {"r"})},
+      {"interact return",
+       fn("f", seqAll({interact({"x"}, "read", {}), rangeCheck("x")}), {},
+          {"r"})},
+      {"stackalloc binder", fn("f", stackalloc("x", 4, rangeCheck("x")), {},
+                               {"r"})},
+      {"one 2-byte load",
+       fn("f",
+          seqAll({ByteX, ifThenElse(var("p"),
+                                    set("x", load(AccessSize::Two, var("p"))),
+                                    skip()),
+                  rangeCheck("x")}),
+          {"p"}, {"r"})},
+      {"c + k = 257", fn("f", seqAll({ByteX, rangeCheck("x", 200, 57)}),
+                         {"p"}, {"r"})},
+      {"signed compare",
+       fn("f", seqAll({ByteX, rangeCheck("x", 97, 26, BinOp::LtS)}), {"p"},
+          {"r"})},
+  };
+  for (const auto &C : Cases) {
+    const std::string Code = emit(C.F);
+    EXPECT_FALSE(narrowed(Code, "x")) << C.Why << "\n" << Code;
+    EXPECT_NE(Code.find("(x - "), std::string::npos) << C.Why << "\n" << Code;
   }
 }
 
