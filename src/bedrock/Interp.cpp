@@ -155,27 +155,71 @@ Result<std::vector<Word>> TapeEnv::interact(const std::string &Action,
 }
 
 //===----------------------------------------------------------------------===//
+// The frame.
+//===----------------------------------------------------------------------===//
+
+void Interp::resetFrame() {
+  SlotOfName.clear();
+  SlotOfText.clear();
+  Frame.clear();
+}
+
+unsigned Interp::slot(const std::string &Name) {
+  auto [It, Fresh] = SlotOfName.try_emplace(&Name, 0u);
+  if (Fresh)
+    It->second =
+        SlotOfText.try_emplace(Name, unsigned(SlotOfText.size())).first->second;
+  return It->second;
+}
+
+const Word *Interp::lookup(const std::string &Name) {
+  unsigned I = slot(Name);
+  return I < Frame.size() && Frame[I].Defined ? &Frame[I].V : nullptr;
+}
+
+void Interp::define(const std::string &Name, Word V) {
+  unsigned I = slot(Name);
+  if (I >= Frame.size())
+    Frame.resize(SlotOfText.size());
+  Frame[I] = {V, true};
+}
+
+void Interp::undefine(const std::string &Name) {
+  unsigned I = slot(Name);
+  if (I < Frame.size())
+    Frame[I].Defined = false;
+}
+
+//===----------------------------------------------------------------------===//
 // Interpreter.
 //===----------------------------------------------------------------------===//
 
 Result<Word> Interp::evalExpr(const State &S, const Function &Fn,
                               const Expr &E) {
+  resetFrame();
+  for (const auto &[Name, V] : S.Vars)
+    define(Name, V);
+  return eval(S.Mem, Fn, E);
+}
+
+Result<Word> Interp::eval(const Memory &Mem, const Function &Fn,
+                          const Expr &E) {
   switch (E.kind()) {
   case Expr::Kind::Literal:
     return cast<Literal>(&E)->value();
   case Expr::Kind::Var: {
     const auto *V = cast<Var>(&E);
-    auto It = S.Vars.find(V->name());
-    if (It == S.Vars.end())
+    const Word *Bound = lookup(V->name());
+    if (!Bound)
       return Error("read of undefined local '" + V->name() + "'");
-    return It->second;
+    return *Bound;
   }
   case Expr::Kind::Load: {
     const auto *L = cast<Load>(&E);
-    Result<Word> Addr = evalExpr(S, Fn, *L->addr());
+    Result<Word> Addr = eval(Mem, Fn, *L->addr());
     if (!Addr)
       return Addr.takeError();
-    return S.Mem.loadN(L->size(), *Addr);
+    return Mem.loadN(L->size(), *Addr);
   }
   case Expr::Kind::TableGet: {
     const auto *T = cast<TableGet>(&E);
@@ -183,7 +227,7 @@ Result<Word> Interp::evalExpr(const State &S, const Function &Fn,
     if (!Tbl)
       return Error("unknown inline table '" + T->table() + "' in function " +
                    Fn.Name);
-    Result<Word> Idx = evalExpr(S, Fn, *T->index());
+    Result<Word> Idx = eval(Mem, Fn, *T->index());
     if (!Idx)
       return Idx.takeError();
     if (*Idx >= Tbl->Elements.size())
@@ -198,10 +242,10 @@ Result<Word> Interp::evalExpr(const State &S, const Function &Fn,
   }
   case Expr::Kind::Bin: {
     const auto *B = cast<Bin>(&E);
-    Result<Word> L = evalExpr(S, Fn, *B->lhs());
+    Result<Word> L = eval(Mem, Fn, *B->lhs());
     if (!L)
       return L.takeError();
-    Result<Word> R = evalExpr(S, Fn, *B->rhs());
+    Result<Word> R = eval(Mem, Fn, *B->rhs());
     if (!R)
       return R.takeError();
     return evalBinOp(B->op(), *L, *R);
@@ -210,12 +254,7 @@ Result<Word> Interp::evalExpr(const State &S, const Function &Fn,
   return Error("unknown expression kind");
 }
 
-Status Interp::execCmd(State &S, const Function &Fn, const Cmd &C) {
-  resetFuel();
-  return execCmdInner(S, Fn, C);
-}
-
-Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
+Status Interp::exec(State &S, const Function &Fn, const Cmd &C) {
   if (FuelLeft == 0) {
     FuelExhausted = true;
     return Error("out of fuel (nonterminating or excessively long run)");
@@ -228,24 +267,24 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
 
   case Cmd::Kind::Set: {
     const auto *SetC = cast<Set>(&C);
-    Result<Word> V = evalExpr(S, Fn, *SetC->value());
+    Result<Word> V = eval(S.Mem, Fn, *SetC->value());
     if (!V)
       return V.takeError().note("in " + SetC->str(0));
-    S.Vars[SetC->name()] = *V;
+    define(SetC->name(), *V);
     return Status::success();
   }
 
   case Cmd::Kind::Unset: {
-    S.Vars.erase(cast<Unset>(&C)->name());
+    undefine(cast<Unset>(&C)->name());
     return Status::success();
   }
 
   case Cmd::Kind::Store: {
     const auto *St = cast<Store>(&C);
-    Result<Word> Addr = evalExpr(S, Fn, *St->addr());
+    Result<Word> Addr = eval(S.Mem, Fn, *St->addr());
     if (!Addr)
       return Addr.takeError();
-    Result<Word> Val = evalExpr(S, Fn, *St->value());
+    Result<Word> Val = eval(S.Mem, Fn, *St->value());
     if (!Val)
       return Val.takeError();
     Status Ok = S.Mem.storeN(St->size(), *Addr, *Val);
@@ -256,18 +295,18 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
 
   case Cmd::Kind::Seq: {
     const auto *Sq = cast<Seq>(&C);
-    Status First = execCmdInner(S, Fn, *Sq->first());
+    Status First = exec(S, Fn, *Sq->first());
     if (!First)
       return First;
-    return execCmdInner(S, Fn, *Sq->second());
+    return exec(S, Fn, *Sq->second());
   }
 
   case Cmd::Kind::If: {
     const auto *I = cast<If>(&C);
-    Result<Word> Cond = evalExpr(S, Fn, *I->cond());
+    Result<Word> Cond = eval(S.Mem, Fn, *I->cond());
     if (!Cond)
       return Cond.takeError();
-    return execCmdInner(S, Fn, *Cond != 0 ? *I->thenCmd() : *I->elseCmd());
+    return exec(S, Fn, *Cond != 0 ? *I->thenCmd() : *I->elseCmd());
   }
 
   case Cmd::Kind::While: {
@@ -278,12 +317,12 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
         return Error("out of fuel in while loop");
       }
       --FuelLeft;
-      Result<Word> Cond = evalExpr(S, Fn, *W->cond());
+      Result<Word> Cond = eval(S.Mem, Fn, *W->cond());
       if (!Cond)
         return Cond.takeError();
       if (*Cond == 0)
         return Status::success();
-      Status Body = execCmdInner(S, Fn, *W->body());
+      Status Body = exec(S, Fn, *W->body());
       if (!Body)
         return Body;
     }
@@ -293,7 +332,7 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
     const auto *Cl = cast<Call>(&C);
     std::vector<Word> Args;
     for (const ExprPtr &A : Cl->args()) {
-      Result<Word> V = evalExpr(S, Fn, *A);
+      Result<Word> V = eval(S.Mem, Fn, *A);
       if (!V)
         return V.takeError();
       Args.push_back(*V);
@@ -304,7 +343,7 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
     if (Rets->size() != Cl->rets().size())
       return Error("call to " + Cl->callee() + ": arity mismatch on returns");
     for (size_t I = 0; I < Rets->size(); ++I)
-      S.Vars[Cl->rets()[I]] = (*Rets)[I];
+      define(Cl->rets()[I], (*Rets)[I]);
     return Status::success();
   }
 
@@ -318,8 +357,8 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
     Status Filled = S.Mem.fill(Base, Junk);
     if (!Filled)
       return Filled;
-    S.Vars[SA->name()] = Base;
-    Status Body = execCmdInner(S, Fn, *SA->body());
+    define(SA->name(), Base);
+    Status Body = exec(S, Fn, *SA->body());
     if (!Body)
       return Body;
     // Scope exit: the block must still be intact (Bedrock2 requires the
@@ -327,7 +366,7 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
     Status Freed = S.Mem.free(Base, SA->numBytes());
     if (!Freed)
       return Freed.takeError().note("stackalloc scope exit for " + SA->name());
-    S.Vars.erase(SA->name());
+    undefine(SA->name());
     return Status::success();
   }
 
@@ -335,7 +374,7 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
     const auto *In = cast<Interact>(&C);
     std::vector<Word> Args;
     for (const ExprPtr &A : In->args()) {
-      Result<Word> V = evalExpr(S, Fn, *A);
+      Result<Word> V = eval(S.Mem, Fn, *A);
       if (!V)
         return V.takeError();
       Args.push_back(*V);
@@ -348,7 +387,7 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
                    ": arity mismatch on returns");
     S.Tr.push_back(Event{In->action(), Args, *Rets});
     for (size_t I = 0; I < Rets->size(); ++I)
-      S.Vars[In->rets()[I]] = (*Rets)[I];
+      define(In->rets()[I], (*Rets)[I]);
     return Status::success();
   }
   }
@@ -358,8 +397,10 @@ Status Interp::execCmdInner(State &S, const Function &Fn, const Cmd &C) {
 Result<std::vector<Word>> Interp::callFunction(State &S,
                                                const std::string &Name,
                                                const std::vector<Word> &Args) {
-  if (CallDepth == 0)
+  if (CallDepth == 0) {
     resetFuel();
+    resetFrame();
+  }
   const Function *Fn = Mod.find(Name);
   if (!Fn)
     return Error("call to unknown function '" + Name + "'");
@@ -373,30 +414,30 @@ Result<std::vector<Word>> Interp::callFunction(State &S,
   }
 
   // Function-scoped locals: swap in a fresh frame.
-  Locals Saved = std::move(S.Vars);
-  S.Vars = Locals();
+  std::vector<Slot> Saved = std::move(Frame);
+  Frame.assign(SlotOfText.size(), Slot());
   for (size_t I = 0; I < Args.size(); ++I)
-    S.Vars[Fn->Args[I]] = Args[I];
+    define(Fn->Args[I], Args[I]);
 
-  Status Body = execCmdInner(S, *Fn, *Fn->Body);
+  Status Body = exec(S, *Fn, *Fn->Body);
   if (!Body) {
     --CallDepth;
-    S.Vars = std::move(Saved);
+    Frame = std::move(Saved);
     return Body.takeError().note("in function " + Name);
   }
 
   std::vector<Word> Rets;
   for (const std::string &R : Fn->Rets) {
-    auto It = S.Vars.find(R);
-    if (It == S.Vars.end()) {
+    const Word *V = lookup(R);
+    if (!V) {
       --CallDepth;
-      S.Vars = std::move(Saved);
+      Frame = std::move(Saved);
       return Error("function " + Name + " ended without setting return '" +
                    R + "'");
     }
-    Rets.push_back(It->second);
+    Rets.push_back(*V);
   }
-  S.Vars = std::move(Saved);
+  Frame = std::move(Saved);
   --CallDepth;
   return Rets;
 }

@@ -146,7 +146,7 @@ using Locals = std::unordered_map<std::string, Word>;
 /// Mutable machine state threaded through execution.
 struct State {
   Memory Mem;
-  Locals Vars;
+  Locals Vars; ///< Seeds the locals of Interp::evalExpr; calls ignore it.
   Trace Tr;
 };
 
@@ -156,16 +156,19 @@ struct ExecOptions {
   uint64_t NondetSeed = 1;    ///< Oracle seed for uninitialized stack bytes.
 };
 
+/// A call's locals live in a dense frame of slots. Each name resolves to
+/// its slot the first time a run meets it, keyed by the address of the
+/// name string in the module's AST (one pointer hash, no string hash), and
+/// names with the same text share a slot. The layout is reset at every
+/// top-level entry, so no address outlives the run that resolved it.
 class Interp {
 public:
   Interp(const Module &Mod, ExtHandler &Env, ExecOptions Opts = {})
       : Mod(Mod), Env(Env), Opts(Opts), Nondet(Opts.NondetSeed) {}
 
-  /// Evaluates expression \p E in \p S (const: expressions are pure reads).
+  /// Evaluates expression \p E with the locals of \p S.Vars and the memory
+  /// of \p S (expressions are pure reads).
   Result<Word> evalExpr(const State &S, const Function &Fn, const Expr &E);
-
-  /// Executes command \p C, mutating \p S.
-  Status execCmd(State &S, const Function &Fn, const Cmd &C);
 
   /// Calls function \p Name with argument words \p Args against memory and
   /// trace in \p S; returns the result words. Locals are function-scoped.
@@ -199,7 +202,24 @@ private:
   bool FuelExhausted = false;
   unsigned CallDepth = 0;
 
-  Status execCmdInner(State &S, const Function &Fn, const Cmd &C);
+  /// One local of the running call.
+  struct Slot {
+    Word V = 0;
+    bool Defined = false;
+  };
+  std::unordered_map<const std::string *, unsigned> SlotOfName;
+  std::unordered_map<std::string, unsigned> SlotOfText;
+  std::vector<Slot> Frame; ///< The running call's locals.
+
+  void resetFrame();
+  unsigned slot(const std::string &Name);
+  /// Null when \p Name is undefined in the running call.
+  const Word *lookup(const std::string &Name);
+  void define(const std::string &Name, Word V);
+  void undefine(const std::string &Name);
+
+  Result<Word> eval(const Memory &Mem, const Function &Fn, const Expr &E);
+  Status exec(State &S, const Function &Fn, const Cmd &C);
 };
 
 /// One-shot convenience: run \p Name from \p Mod on a fresh state whose

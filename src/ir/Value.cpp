@@ -12,11 +12,28 @@
 namespace relc {
 namespace ir {
 
+const std::vector<Value> Value::NoElems;
+
+void Value::adopt(std::vector<Value> Items) {
+  if (Items.empty())
+    return;
+  Shared = new Block;
+  Shared->Items = std::move(Items);
+}
+
+void Value::unshare() {
+  Block *Own = new Block;
+  if (Shared)
+    Own->Items = Shared->Items;
+  release();
+  Shared = Own;
+}
+
 std::vector<uint8_t> Value::asBytes() const {
   assert(TheKind == Kind::List && Elt == EltKind::U8 && "not a byte list");
   std::vector<uint8_t> Out;
-  Out.reserve(Elems.size());
-  for (const Value &E : Elems)
+  Out.reserve(elems().size());
+  for (const Value &E : elems())
     Out.push_back(E.asByte());
   return Out;
 }
@@ -24,8 +41,8 @@ std::vector<uint8_t> Value::asBytes() const {
 std::vector<uint64_t> Value::asWords() const {
   assert(TheKind == Kind::List && "not a list");
   std::vector<uint64_t> Out;
-  Out.reserve(Elems.size());
-  for (const Value &E : Elems)
+  Out.reserve(elems().size());
+  for (const Value &E : elems())
     Out.push_back(E.scalar());
   return Out;
 }
@@ -41,9 +58,9 @@ bool Value::operator==(const Value &O) const {
   case Kind::Unit:
     return true;
   case Kind::List:
-    return Elt == O.Elt && Elems == O.Elems;
+    return Elt == O.Elt && (Shared == O.Shared || elems() == O.elems());
   case Kind::Tuple:
-    return Elems == O.Elems;
+    return Shared == O.Shared || elems() == O.elems();
   }
   return false;
 }
@@ -59,6 +76,7 @@ std::string Value::str() const {
   case Kind::Unit:
     return "()";
   case Kind::List: {
+    const std::vector<Value> &Elems = elems();
     std::string Out = "[";
     // Long lists abbreviate: show head and length.
     size_t Show = Elems.size() > 8 ? 8 : Elems.size();
@@ -73,7 +91,7 @@ std::string Value::str() const {
   }
   case Kind::Tuple: {
     std::vector<std::string> Parts;
-    for (const Value &E : Elems)
+    for (const Value &E : elems())
       Parts.push_back(E.str());
     // Built up with += (rather than a "(" + ... + ")" chain) to sidestep a
     // GCC 12 -Wrestrict false positive on the temporary-reusing operator+.

@@ -11,14 +11,22 @@
 // tuples. Lists model both Gallina lists and the ListArray/Cell wrappers
 // whose layout the compiler chooses.
 //
+// A list's or tuple's elements live in one heap block that every copy of
+// the value shares: copying or destroying a value adjusts an atomic
+// reference count, and the first write through a shared handle (the
+// non-const elems()) clones the block, so no copy ever sees another's
+// write (copy-on-write; DESIGN.md §4.4).
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef RELC_IR_VALUE_H
 #define RELC_IR_VALUE_H
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace relc {
@@ -43,6 +51,26 @@ public:
   enum class Kind { Word, Byte, Bool, Unit, List, Tuple };
 
   Value() : TheKind(Kind::Unit) {}
+  Value(const Value &O)
+      : TheKind(O.TheKind), Elt(O.Elt), Scalar(O.Scalar), Shared(O.Shared) {
+    if (Shared)
+      ++Shared->Refs;
+  }
+  Value(Value &&O) noexcept
+      : TheKind(O.TheKind), Elt(O.Elt), Scalar(O.Scalar),
+        Shared(std::exchange(O.Shared, nullptr)) {}
+  Value &operator=(const Value &O) { return *this = Value(O); }
+  Value &operator=(Value &&O) noexcept {
+    // Safe when O is *this or one of its elements: what *this held is
+    // released only after O has been taken.
+    Value Taken(std::move(O));
+    std::swap(TheKind, Taken.TheKind);
+    std::swap(Elt, Taken.Elt);
+    std::swap(Scalar, Taken.Scalar);
+    std::swap(Shared, Taken.Shared);
+    return *this;
+  }
+  ~Value() { release(); }
 
   static Value word(uint64_t W) { return Value(Kind::Word, W); }
   static Value byte(uint8_t B) { return Value(Kind::Byte, B); }
@@ -51,7 +79,7 @@ public:
   static Value list(EltKind Elt, std::vector<Value> Elems) {
     Value V(Kind::List, 0);
     V.Elt = Elt;
-    V.Elems = std::move(Elems);
+    V.adopt(std::move(Elems));
     return V;
   }
   static Value byteList(const std::vector<uint8_t> &Bytes) {
@@ -63,7 +91,7 @@ public:
   }
   static Value tuple(std::vector<Value> Elems) {
     Value V(Kind::Tuple, 0);
-    V.Elems = std::move(Elems);
+    V.adopt(std::move(Elems));
     return V;
   }
 
@@ -95,13 +123,18 @@ public:
     assert(TheKind == Kind::List && "not a list");
     return Elt;
   }
+  /// The elements, shared with every copy of this value.
   const std::vector<Value> &elems() const {
     assert((TheKind == Kind::List || TheKind == Kind::Tuple) && "no elements");
-    return Elems;
+    return Shared ? Shared->Items : NoElems;
   }
+  /// The elements, for writing: clones them first unless this value is
+  /// their only holder.
   std::vector<Value> &elems() {
     assert((TheKind == Kind::List || TheKind == Kind::Tuple) && "no elements");
-    return Elems;
+    if (!Shared || Shared->Refs != 1)
+      unshare();
+    return Shared->Items;
   }
 
   /// List contents as raw bytes (lists of U8 only).
@@ -116,12 +149,27 @@ public:
   std::string str() const;
 
 private:
+  /// The elements of a list or tuple and the number of values holding
+  /// them. Null stands for no elements.
+  struct Block {
+    std::atomic<uint32_t> Refs{1};
+    std::vector<Value> Items;
+  };
+  static const std::vector<Value> NoElems;
+
   Value(Kind K, uint64_t Scalar) : TheKind(K), Scalar(Scalar) {}
 
+  void adopt(std::vector<Value> Items);
+  void unshare();
+  void release() {
+    if (Shared && --Shared->Refs == 0)
+      delete Shared;
+  }
+
   Kind TheKind;
-  uint64_t Scalar = 0;
   EltKind Elt = EltKind::U8;
-  std::vector<Value> Elems;
+  uint64_t Scalar = 0;
+  Block *Shared = nullptr;
 };
 
 } // namespace ir

@@ -9,15 +9,21 @@
 // never throws: fallible operations return Result<T>, and infallible
 // invariants are enforced with assertions.
 //
+// Success is the common case, so it carries no error state: an Error is
+// one pointer to a heap payload (null for a default Error), and a
+// Result<T> is a variant of T or Error. A successful Result builds and
+// destroys nothing but its T.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef RELC_SUPPORT_RESULT_H
 #define RELC_SUPPORT_RESULT_H
 
 #include <cassert>
-#include <optional>
+#include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace relc {
@@ -27,21 +33,38 @@ namespace relc {
 class Error {
 public:
   Error() = default;
-  explicit Error(std::string Message) : Message(std::move(Message)) {}
+  explicit Error(std::string Message)
+      : P(std::make_unique<Payload>(std::move(Message))) {}
+  Error(const Error &O) : P(O.P ? std::make_unique<Payload>(*O.P) : nullptr) {}
+  Error(Error &&) noexcept = default;
+  Error &operator=(const Error &O) {
+    if (this != &O)
+      P = O.P ? std::make_unique<Payload>(*O.P) : nullptr;
+    return *this;
+  }
+  Error &operator=(Error &&) noexcept = default;
 
-  const std::string &message() const { return Message; }
-  const std::vector<std::string> &notes() const { return Notes; }
+  const std::string &message() const {
+    static const std::string None;
+    return P ? P->Message : None;
+  }
+  const std::vector<std::string> &notes() const {
+    static const std::vector<std::string> None;
+    return P ? P->Notes : None;
+  }
 
   /// Attaches a context note; returns *this to allow chaining on return.
   Error &note(std::string Note) {
-    Notes.push_back(std::move(Note));
+    if (!P)
+      P = std::make_unique<Payload>();
+    P->Notes.push_back(std::move(Note));
     return *this;
   }
 
   /// Renders the message followed by indented context notes.
   std::string str() const {
-    std::string Out = Message;
-    for (const std::string &N : Notes) {
+    std::string Out = message();
+    for (const std::string &N : notes()) {
       Out += "\n  note: ";
       Out += N;
     }
@@ -49,8 +72,11 @@ public:
   }
 
 private:
-  std::string Message;
-  std::vector<std::string> Notes;
+  struct Payload {
+    std::string Message;
+    std::vector<std::string> Notes;
+  };
+  std::unique_ptr<Payload> P;
 };
 
 /// Tag type used to construct failed Results unambiguously.
@@ -64,57 +90,56 @@ struct ErrorTag {};
 template <typename T> class [[nodiscard]] Result {
 public:
   /// Success constructors.
-  Result(T Value) : Value(std::move(Value)) {}
+  Result(T Value) : Storage(std::in_place_index<0>, std::move(Value)) {}
 
   /// Failure constructor.
-  Result(Error E) : Err(std::move(E)) { assert(!Value && "both states set"); }
+  Result(Error E) : Storage(std::in_place_index<1>, std::move(E)) {}
 
   /// True on success.
-  explicit operator bool() const { return Value.has_value(); }
+  explicit operator bool() const { return Storage.index() == 0; }
 
   T &operator*() {
-    assert(Value && "dereferencing failed Result");
-    return *Value;
+    assert(*this && "dereferencing failed Result");
+    return *std::get_if<0>(&Storage);
   }
   const T &operator*() const {
-    assert(Value && "dereferencing failed Result");
-    return *Value;
+    assert(*this && "dereferencing failed Result");
+    return *std::get_if<0>(&Storage);
   }
   T *operator->() {
-    assert(Value && "dereferencing failed Result");
-    return &*Value;
+    assert(*this && "dereferencing failed Result");
+    return std::get_if<0>(&Storage);
   }
   const T *operator->() const {
-    assert(Value && "dereferencing failed Result");
-    return &*Value;
+    assert(*this && "dereferencing failed Result");
+    return std::get_if<0>(&Storage);
   }
 
   /// Moves the value out; only valid on success.
   T take() {
-    assert(Value && "taking from failed Result");
-    return std::move(*Value);
+    assert(*this && "taking from failed Result");
+    return std::move(*std::get_if<0>(&Storage));
   }
 
   Error &error() {
-    assert(!Value && "reading error of successful Result");
-    return Err;
+    assert(!*this && "reading error of successful Result");
+    return *std::get_if<1>(&Storage);
   }
   const Error &error() const {
-    assert(!Value && "reading error of successful Result");
-    return Err;
+    assert(!*this && "reading error of successful Result");
+    return *std::get_if<1>(&Storage);
   }
 
   /// Moves the error out; only valid on failure. Convenient for propagating
   /// an inner failure with added context:
   ///   return R.takeError().note("while compiling loop body");
   Error takeError() {
-    assert(!Value && "taking error of successful Result");
-    return std::move(Err);
+    assert(!*this && "taking error of successful Result");
+    return std::move(*std::get_if<1>(&Storage));
   }
 
 private:
-  std::optional<T> Value;
-  Error Err;
+  std::variant<T, Error> Storage;
 };
 
 /// Result<void> analogue: success carries no payload.

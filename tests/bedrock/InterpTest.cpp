@@ -254,4 +254,149 @@ TEST(BedrockInterpTest, RunawayRecursionIsCaught) {
   EXPECT_FALSE(bool(R));
 }
 
+/// The full text (message and note chain) of a run of function \p Name of
+/// \p M that must fail.
+std::string failureText(const Module &M, const std::string &Name,
+                        const std::vector<Word> &Args = {},
+                        ExecOptions Opts = {}) {
+  TapeEnv Env;
+  Result<RunResult> R = runFunction(M, Name, Args, Env, nullptr, Opts);
+  EXPECT_FALSE(bool(R));
+  return R ? std::string() : R.error().str();
+}
+
+Module oneFunction(Function Fn) {
+  Module M;
+  M.Functions.push_back(std::move(Fn));
+  return M;
+}
+
+TEST(BedrockInterpTest, UndefinedLocalTextIsPinned) {
+  Function F;
+  F.Name = "f";
+  F.Rets = {"r"};
+  F.Body = seqAll({set("t", lit(1)), set("r", add(var("t"), var("ghost")))});
+  EXPECT_EQ(failureText(oneFunction(std::move(F)), "f"),
+            "read of undefined local 'ghost'\n"
+            "  note: in r = (t + ghost)\n\n"
+            "  note: in function f");
+}
+
+TEST(BedrockInterpTest, ReadAfterUnsetTextIsPinned) {
+  Function F;
+  F.Name = "f";
+  F.Args = {"a"};
+  F.Rets = {"r"};
+  F.Body = seqAll({set("x", var("a")), unset("x"), set("r", var("x"))});
+  EXPECT_EQ(failureText(oneFunction(std::move(F)), "f", {5}),
+            "read of undefined local 'x'\n"
+            "  note: in r = x\n\n"
+            "  note: in function f");
+}
+
+TEST(BedrockInterpTest, StackallocBinderIsUndefinedAfterItsScope) {
+  Function F;
+  F.Name = "f";
+  F.Rets = {"r"};
+  F.Body = seqAll({stackalloc("p", 8, store(AccessSize::Eight, var("p"),
+                                            lit(3))),
+                   set("r", var("p"))});
+  EXPECT_EQ(failureText(oneFunction(std::move(F)), "f"),
+            "read of undefined local 'p'\n"
+            "  note: in r = p\n\n"
+            "  note: in function f");
+}
+
+TEST(BedrockInterpTest, CalleeCannotReadItsCallersLocals) {
+  Function Callee;
+  Callee.Name = "peek";
+  Callee.Rets = {"y"};
+  Callee.Body = set("y", var("x"));
+  Function Caller;
+  Caller.Name = "main";
+  Caller.Rets = {"r"};
+  Caller.Body = seqAll({set("x", lit(1)), call({"r"}, "peek", {})});
+  Module M;
+  M.Functions = {Callee, Caller};
+  EXPECT_EQ(failureText(M, "main"), "read of undefined local 'x'\n"
+                                    "  note: in y = x\n\n"
+                                    "  note: in function peek\n"
+                                    "  note: in call to peek\n"
+                                    "  note: in function main");
+}
+
+TEST(BedrockInterpTest, MissingReturnLocalTextIsPinned) {
+  Function Callee;
+  Callee.Name = "g";
+  Callee.Args = {"a"};
+  Callee.Rets = {"b", "never_set"};
+  Callee.Body = set("b", var("a"));
+  Function Caller;
+  Caller.Name = "main";
+  Caller.Rets = {"r"};
+  Caller.Body = call({"r", "s"}, "g", {lit(2)});
+  Module M;
+  M.Functions = {Callee, Caller};
+  EXPECT_EQ(failureText(M, "main"),
+            "function g ended without setting return 'never_set'\n"
+            "  note: in call to g\n"
+            "  note: in function main");
+  Function Top;
+  Top.Name = "f";
+  Top.Rets = {"never_set"};
+  Top.Body = skip();
+  EXPECT_EQ(failureText(oneFunction(std::move(Top)), "f"),
+            "function f ended without setting return 'never_set'");
+}
+
+TEST(BedrockInterpTest, OutOfFuelTextsArePinned) {
+  Function Spin;
+  Spin.Name = "spin";
+  Spin.Body = whileLoop(lit(1), skip());
+  Module M = oneFunction(std::move(Spin));
+  // The loop charges one step on entry and one per iteration, and its
+  // body one more: odd fuel runs out in the body, even fuel at the loop.
+  ExecOptions Opts;
+  Opts.Fuel = 1000;
+  EXPECT_EQ(failureText(M, "spin", {}, Opts),
+            "out of fuel (nonterminating or excessively long run)\n"
+            "  note: in function spin");
+  Opts.Fuel = 1001;
+  EXPECT_EQ(failureText(M, "spin", {}, Opts),
+            "out of fuel in while loop\n"
+            "  note: in function spin");
+  Function Line;
+  Line.Name = "line";
+  Line.Rets = {"r"};
+  Line.Body = seqAll({set("a", lit(1)), set("b", lit(2)),
+                      set("r", add(var("a"), var("b")))});
+  Opts.Fuel = 3;
+  EXPECT_EQ(failureText(oneFunction(std::move(Line)), "line", {}, Opts),
+            "out of fuel (nonterminating or excessively long run)\n"
+            "  note: in function line");
+}
+
+TEST(BedrockInterpTest, LocalsSurviveACallAndFuelIsCounted) {
+  // The caller's locals are back after the call, the callee's are gone,
+  // and fuel counts every statement step of both.
+  Function Callee;
+  Callee.Name = "inc";
+  Callee.Args = {"x"};
+  Callee.Rets = {"y"};
+  Callee.Body = seqAll({set("t", lit(1)), set("y", add(var("x"), var("t")))});
+  Function Caller;
+  Caller.Name = "main";
+  Caller.Args = {"a"};
+  Caller.Rets = {"r"};
+  Caller.Body = seqAll({set("t", lit(40)), call({"u"}, "inc", {var("a")}),
+                        set("r", add(var("t"), var("u")))});
+  Module M;
+  M.Functions = {Callee, Caller};
+  TapeEnv Env;
+  Result<RunResult> R = runFunction(M, "main", {1}, Env, nullptr);
+  ASSERT_TRUE(bool(R)) << R.error().str();
+  EXPECT_EQ(R->Rets, (std::vector<Word>{42}));
+  EXPECT_EQ(R->FuelUsed, 8u);
+}
+
 } // namespace

@@ -378,4 +378,36 @@ TEST(InterpTest, FoldAndMapParamsMayShadowTheWalkedList) {
   EXPECT_EQ(Out[3].asBytes(), (std::vector<uint8_t>{1, 2, 3}));
 }
 
+TEST(InterpTest, PutAfterCopyLeavesTheCopyUnchanged) {
+  // c := copy s; s := put s 0 99; d := copy s; d := put d 1 77: each put
+  // changes only the list it names.
+  FnBuilder FB("f", Monad::Pure);
+  FB.listParam("s", EltKind::U8);
+  ProgBuilder B;
+  B.let("c", mkCopy("s"))
+      .let("s", mkPut("s", cw(0), cb(99)))
+      .let("d", mkCopy("s"))
+      .let("d", mkPut("d", cw(1), cb(77)));
+  SourceFn Fn = std::move(FB).done(std::move(B).ret({"s", "c", "d"}));
+  EffectCtx Ctx;
+  std::vector<Value> Out = run(Fn, {Value::byteList({1, 2, 3})}, Ctx);
+  EXPECT_EQ(Out[0].asBytes(), (std::vector<uint8_t>{99, 2, 3}));
+  EXPECT_EQ(Out[1].asBytes(), (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(Out[2].asBytes(), (std::vector<uint8_t>{99, 77, 3}));
+}
+
+TEST(InterpTest, PutOnAListArgumentLeavesTheCallersValueUnchanged) {
+  FnBuilder FB("f", Monad::Pure);
+  FB.listParam("s", EltKind::U8);
+  ProgBuilder B;
+  B.let("s", mkPut("s", cw(2), cb(99)));
+  SourceFn Fn = std::move(FB).done(std::move(B).ret({"s"}));
+  const std::vector<Value> Args = {Value::byteList({1, 2, 3})};
+  EffectCtx Ctx;
+  Result<std::vector<Value>> R = evalFn(Fn, Args, Ctx);
+  ASSERT_TRUE(bool(R)) << R.error().str();
+  EXPECT_EQ((*R)[0].asBytes(), (std::vector<uint8_t>{1, 2, 99}));
+  EXPECT_EQ(Args[0].asBytes(), (std::vector<uint8_t>{1, 2, 3}));
+}
+
 } // namespace

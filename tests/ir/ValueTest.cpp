@@ -65,4 +65,69 @@ TEST(ValueTest, PrintingAbbreviatesLongLists) {
   EXPECT_LT(S.size(), 200u);
 }
 
+TEST(ValueTest, CopiesOfAListShareStorage) {
+  const Value A = Value::byteList({1, 2, 3});
+  const Value B = A;
+  EXPECT_EQ(A.elems().data(), B.elems().data());
+  const Value T = Value::tuple({A, Value::word(7)});
+  const Value U = T;
+  EXPECT_EQ(T.elems().data(), U.elems().data());
+}
+
+TEST(ValueTest, WriteThroughOneCopyLeavesTheOtherUnchanged) {
+  Value A = Value::byteList({1, 2, 3});
+  Value B = A;
+  B.elems()[0] = Value::byte(9);
+  EXPECT_EQ(A.asBytes(), (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(B.asBytes(), (std::vector<uint8_t>{9, 2, 3}));
+  // The original writing, with a copy still around.
+  Value C = A;
+  A.elems().push_back(Value::byte(4));
+  EXPECT_EQ(A.asBytes(), (std::vector<uint8_t>{1, 2, 3, 4}));
+  EXPECT_EQ(C.asBytes(), (std::vector<uint8_t>{1, 2, 3}));
+  // A list inside a tuple: writing the copy's inner list.
+  const Value T = Value::tuple({C, Value::word(7)});
+  Value U = T;
+  U.elems()[0].elems()[2] = Value::byte(5);
+  EXPECT_EQ(T.elems()[0].asBytes(), (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(U.elems()[0].asBytes(), (std::vector<uint8_t>{1, 2, 5}));
+  EXPECT_EQ(C.asBytes(), (std::vector<uint8_t>{1, 2, 3}));
+}
+
+TEST(ValueTest, MovingTupleElementsOutLeavesAnEarlierCopyIntact) {
+  // What binding the results of a multi-valued let does.
+  Value T = Value::tuple({Value::byteList({1, 2}), Value::word(7)});
+  const Value Earlier = T;
+  Value L = std::move(T.elems()[0]);
+  Value W = std::move(T.elems()[1]);
+  EXPECT_EQ(L.asBytes(), (std::vector<uint8_t>{1, 2}));
+  EXPECT_EQ(W.asWord(), 7u);
+  ASSERT_EQ(Earlier.elems().size(), 2u);
+  EXPECT_EQ(Earlier.elems()[0].asBytes(), (std::vector<uint8_t>{1, 2}));
+  EXPECT_EQ(Earlier.elems()[1].asWord(), 7u);
+  EXPECT_EQ(Earlier, Value::tuple({Value::byteList({1, 2}), Value::word(7)}));
+}
+
+TEST(ValueTest, SharedAndUnsharedListsAgree) {
+  std::vector<uint8_t> Bytes(12);
+  for (size_t I = 0; I < Bytes.size(); ++I)
+    Bytes[I] = uint8_t(3 * I + 1);
+  const Value A = Value::byteList(Bytes);
+  const Value Shared = A;
+  const Value Unshared = Value::byteList(Bytes);
+  EXPECT_EQ(Shared, A);
+  EXPECT_EQ(Shared, Unshared);
+  EXPECT_EQ(Shared.str(), Unshared.str());
+  EXPECT_EQ(Shared.asBytes(), Unshared.asBytes());
+  EXPECT_EQ(Shared.asBytes(), Bytes);
+  Value Changed = Shared;
+  Changed.elems()[11] = Value::byte(0);
+  EXPECT_NE(Changed, Shared);
+  EXPECT_EQ(Shared, Unshared);
+  EXPECT_EQ(Shared.asBytes(), Bytes);
+  EXPECT_EQ(Value::tuple({A, Value::unit()}),
+            Value::tuple({Unshared, Value::unit()}));
+  EXPECT_EQ(Value::tuple({A}).str(), Value::tuple({Unshared}).str());
+}
+
 } // namespace
