@@ -7,8 +7,6 @@
 
 #include "analysis/Analysis.h"
 
-#include "analysis/Dataflow.h"
-
 #include <algorithm>
 #include <set>
 
@@ -73,59 +71,37 @@ std::string AnalysisReport::str() const {
 
 namespace {
 
-/// Prints one CFG statement on one line for diagnostics.
-std::string stmtStr(const CfgStmt &S) {
-  std::string Out;
-  switch (S.K) {
-  case CfgStmt::Kind::Simple:
-    Out = S.C->str(0);
-    break;
-  case CfgStmt::Kind::StackEnter:
-    Out = "stackalloc " + cast<Stackalloc>(S.C)->name();
-    break;
-  case CfgStmt::Kind::StackExit:
-    Out = "end of stackalloc " + cast<Stackalloc>(S.C)->name();
-    break;
-  }
-  while (!Out.empty() && (Out.back() == '\n' || Out.back() == ' '))
-    Out.pop_back();
-  return Out;
-}
-
 class Analyzer {
 public:
-  Analyzer(const Function &Fn, const AbiInfo &Abi, const guard::Budget *Budget)
-      : Fn(Fn), Abi(Abi), Budget(Budget), G(Cfg::build(Fn)) {
-    // The copy (not the caller's AbiInfo) gets the budget pointer: every
-    // domain state clones EntryFacts, and FactDb copies carry it along,
-    // so all solver queries under this run are bounded too.
-    this->Abi.EntryFacts.setBudget(Budget);
-  }
+  explicit Analyzer(const TargetFacts &T)
+      : T(T), Fn(T.Fn), G(T.G), SymR(T.SymR) {}
 
   AnalysisReport run() {
     Report.Fn = Fn.Name;
     Report.NumBlocks = unsigned(G.blocks().size());
     Report.NumStmts = Fn.countStmts();
+    Report.SymIterations = SymR.Iterations;
 
-    runInit();
-    runIntervalsAndSymbolic();
+    runInitAndIntervals();
     checkUninit();
     checkBounds();
     checkDeadStores();
     checkUnreachable();
+    // Whatever ran after the budget ran out is degraded (never cached),
+    // errors or not.
+    Report.BudgetExhausted = T.exhausted();
     return std::move(Report);
   }
 
 private:
+  const TargetFacts &T;
   const Function &Fn;
-  AbiInfo Abi; ///< Copy: its EntryFacts carry the budget (see ctor).
-  const guard::Budget *Budget;
-  Cfg G;
+  const Cfg &G;
+  const DataflowResult<SymbolicDomain> &SymR;
   AnalysisReport Report;
 
   DataflowResult<InitDomain> InitR;
   DataflowResult<IntervalDomain> ItvR;
-  DataflowResult<SymbolicDomain> SymR;
 
   void diag(Diagnostic::Checker C, const std::string &Path,
             const std::string &Stmt, const std::string &Message,
@@ -145,29 +121,20 @@ private:
                        const std::string &What, const std::string &CapText) {
     if (R.Converged)
       return;
-    if (R.BudgetExhausted) {
-      Report.BudgetExhausted = true;
-      diag(Diagnostic::Checker::Convergence, "", "",
-           What + " " + Budget->describe(), true);
-    } else {
-      diag(Diagnostic::Checker::Convergence, "", "", What + CapText, true);
-    }
+    diag(Diagnostic::Checker::Convergence, "", "",
+         What + (R.BudgetExhausted ? " " + T.Budget->describe() : CapText),
+         true);
   }
 
-  void runInit() {
+  void runInitAndIntervals() {
     InitDomain D(Fn);
-    InitR = runForward(G, D, 64, Budget);
+    InitR = runForward(G, D, 64, T.Budget);
     convergenceDiag(InitR, "initialized-locals analysis", " did not converge");
-  }
 
-  void runIntervalsAndSymbolic() {
-    IntervalDomain Itv(G, Fn, Abi);
-    ItvR = runForward(G, Itv, 64, Budget);
+    IntervalDomain Itv(G, Fn, T.Abi);
+    ItvR = runForward(G, Itv, 64, T.Budget);
     convergenceDiag(ItvR, "interval analysis", " did not converge");
 
-    SymbolicDomain Sym(G, Fn, Abi);
-    SymR = runForward(G, Sym, 64, Budget);
-    Report.SymIterations = SymR.Iterations;
     convergenceDiag(SymR, "symbolic analysis",
                     " did not converge (abstract state kept changing past "
                     "the iteration cap)");
@@ -214,81 +181,28 @@ private:
   //===--------------------------------------------------------------------===//
 
   void checkBounds() {
-    if (!SymR.Converged)
-      return;
-    SymbolicDomain Sym(G, Fn, Abi);
-    const CfgStmt *CurStmt = nullptr;
-    const BasicBlock *CurBlock = nullptr;
-
-    Sym.setSink([&](const SymbolicDomain::Access &Acc, SymState &St,
-                    solver::FactDb &Db) {
-      std::string Where =
-          CurStmt ? stmtStr(*CurStmt) : CurBlock->Cond->str();
-      auto Err = [&](const std::string &Msg) {
-        diag(Diagnostic::Checker::Bounds, Acc.Site, Where, Msg, true);
-      };
-
-      if (Acc.K == SymbolicDomain::Access::Kind::Table) {
-        if (!Acc.Table) {
-          Err("access to unknown inline table");
-          return;
-        }
-        if (Acc.Addr.K != AbsVal::Kind::Scalar) {
-          Err("table index is a pointer");
-          return;
-        }
-        Status S = Db.proveLt(Acc.Addr.T,
-                              lc(int64_t(Acc.Table->Elements.size())));
-        if (!S)
-          Err("cannot prove table index < " +
-              std::to_string(Acc.Table->Elements.size()) + " (table " +
-              Acc.Table->Name + "): " + S.error().str());
-        return;
-      }
-
-      const char *What =
-          Acc.K == SymbolicDomain::Access::Kind::Load ? "load" : "store";
-      if (Acc.Addr.K != AbsVal::Kind::Ptr) {
-        Err(std::string(What) +
-            " address does not provably point into any clause of the "
-            "ABI's separation-logic frame");
-        return;
-      }
-      const Region &R = Abi.Regions[size_t(Acc.Addr.Region)];
-      if (St.DeadRegions.count(Acc.Addr.Region)) {
-        Err(std::string(What) + " into expired stackalloc region '" +
-            R.Name + "' (its lexical lifetime has ended)");
-        return;
-      }
-      Status Lo = Db.proveLe(lc(0), Acc.Addr.T);
-      if (!Lo) {
-        Err("cannot prove " + std::string(What) +
-            " offset is nonnegative within {" + R.ClauseStr +
-            "}: " + Lo.error().str());
-        return;
-      }
-      Status Hi = Db.proveLe(Acc.Addr.T + lc(int64_t(Acc.Bytes)), R.Extent);
-      if (!Hi)
-        Err("cannot prove " + std::to_string(Acc.Bytes) + "-byte " + What +
-            " at offset " + Acc.Addr.T.str() + " stays within {" +
-            R.ClauseStr + "}: " + Hi.error().str());
-    });
-
-    for (unsigned Id : G.rpo()) {
-      if (!SymR.In[Id])
-        continue;
-      const BasicBlock &B = G.block(Id);
-      CurBlock = &B;
-      SymState S = *SymR.In[Id];
-      for (const CfgStmt &St : B.Stmts) {
-        CurStmt = &St;
-        Sym.transfer(G, B, St, S);
-      }
-      CurStmt = nullptr;
-      // Branch conditions can contain loads/table reads too; evaluating
-      // one edge visits every access in the condition.
-      if (B.T == BasicBlock::Term::Branch)
-        (void)Sym.edge(G, B, S, true);
+    // Indexed by ReplayFinding::Kind; the solver's error follows checks 3,
+    // 6 and 7.
+    static const char *const Texts[] = {
+        "access to unknown inline table",
+        "table index is a pointer",
+        "cannot prove table index < $size (table $table)",
+        "$what address does not provably point into any clause of the ABI's "
+        "separation-logic frame",
+        "$what into expired stackalloc region '$region' (its lexical "
+        "lifetime has ended)",
+        "cannot prove $what offset is nonnegative within {$clause}",
+        "cannot prove $bytes-byte $what at offset $off stays within "
+        "{$clause}"};
+    for (const ReplayFinding &F : T.Findings) {
+      if (size_t(F.K) >= std::size(Texts))
+        continue; // Frame escapes are codelint's.
+      std::string Msg = F.text(Texts[size_t(F.K)], T.Abi);
+      if (F.Exhausted)
+        Msg += " (" + T.Budget->describe() + ")";
+      else if (!F.SolverError.empty())
+        Msg += ": " + F.SolverError;
+      diag(Diagnostic::Checker::Bounds, F.Acc.Site, F.Where, Msg, true);
     }
   }
 
@@ -387,9 +301,13 @@ private:
 
 } // namespace
 
+AnalysisReport analyzeFunction(const TargetFacts &T) {
+  return Analyzer(T).run();
+}
+
 AnalysisReport analyzeFunction(const Function &Fn, const AbiInfo &Abi,
                                const guard::Budget *Budget) {
-  return Analyzer(Fn, Abi, Budget).run();
+  return analyzeFunction(TargetFacts(Fn, Abi, Budget));
 }
 
 AnalysisReport analyzeProgram(const Function &Fn, const sep::FnSpec &Spec,

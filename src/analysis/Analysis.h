@@ -22,13 +22,15 @@
 // the certification pipeline fails on them; DeadStore and Unreachable are
 // warnings surfaced in reports and by relc-lint.
 //
+// The CFG, the symbolic fixpoint and the bounds decisions come from the
+// TargetFacts codelint shares (TargetFacts.h); Bounds renders its findings.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef RELC_ANALYSIS_ANALYSIS_H
 #define RELC_ANALYSIS_ANALYSIS_H
 
-#include "analysis/Domains.h"
-#include "support/Budget.h"
+#include "analysis/TargetFacts.h"
 
 #include <string>
 #include <vector>
@@ -59,9 +61,10 @@ struct AnalysisReport {
   unsigned NumStmts = 0;
   unsigned SymIterations = 0; ///< Symbolic-domain fixpoint iterations.
 
-  /// A guard::Budget ran out mid-fixpoint. The report then carries a
-  /// Convergence *error* naming the budget — a refusal to certify, which
-  /// the pipeline surfaces as a Degraded (never cached) layer outcome.
+  /// A guard::Budget ran out during the analysis. A fixpoint it stopped, or
+  /// an access check that failed after it, is an error naming the budget —
+  /// a refusal to certify. The pipeline surfaces the report as a Degraded
+  /// (never cached) layer outcome, errors or not.
   bool BudgetExhausted = false;
 
   bool hasErrors() const;
@@ -72,10 +75,13 @@ struct AnalysisReport {
   std::string str() const;
 };
 
-/// Runs all domains and checkers on \p Fn against its ABI digest.
+/// Runs the init and interval domains and all checkers over \p T's
+/// function under \p T's budget (see AnalysisReport::BudgetExhausted).
+AnalysisReport analyzeFunction(const TargetFacts &T);
+
+/// Derives the TargetFacts of \p Fn against its ABI digest, then analyzes.
 /// \p Budget, when non-null, bounds the dataflow fixpoints and the solver
-/// queries cooperatively; exhaustion yields a budget-naming Convergence
-/// error (see AnalysisReport::BudgetExhausted).
+/// queries cooperatively.
 AnalysisReport analyzeFunction(const bedrock::Function &Fn,
                                const AbiInfo &Abi,
                                const guard::Budget *Budget = nullptr);

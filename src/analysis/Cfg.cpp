@@ -182,48 +182,16 @@ void Cfg::finalize() {
     RpoPos[Rpo[I]] = I;
 }
 
-std::string Cfg::str() const {
-  std::string Out;
-  for (const BasicBlock &B : Blocks) {
-    Out += "bb" + std::to_string(B.Id);
-    if (B.IsLoopHeader)
-      Out += " (loop header)";
-    Out += ":\n";
-    for (const CfgStmt &S : B.Stmts) {
-      Out += "  [" + S.Path + "] ";
-      switch (S.K) {
-      case CfgStmt::Kind::Simple: {
-        std::string Line = S.C->str(0);
-        if (!Line.empty() && Line.back() == '\n')
-          Line.pop_back();
-        Out += Line;
-        break;
-      }
-      case CfgStmt::Kind::StackEnter:
-        Out += "stack-enter " + cast<Stackalloc>(S.C)->name() + "[" +
-               std::to_string(cast<Stackalloc>(S.C)->numBytes()) + "]";
-        break;
-      case CfgStmt::Kind::StackExit:
-        Out += "stack-exit " + cast<Stackalloc>(S.C)->name();
-        break;
-      }
-      Out += "\n";
-    }
-    switch (B.T) {
-    case BasicBlock::Term::Jump:
-      Out += "  goto bb" + std::to_string(B.TrueSucc) + "\n";
-      break;
-    case BasicBlock::Term::Branch:
-      Out += "  if " + B.Cond->str() + " then bb" +
-             std::to_string(B.TrueSucc) + " else bb" +
-             std::to_string(B.FalseSucc) + "\n";
-      break;
-    case BasicBlock::Term::Exit:
-      Out += "  exit\n";
-      break;
-    }
+std::string stmtStr(const CfgStmt &S) {
+  switch (S.K) {
+  case CfgStmt::Kind::Simple:
+    return S.C->line();
+  case CfgStmt::Kind::StackEnter:
+    return "stackalloc " + cast<Stackalloc>(S.C)->name();
+  case CfgStmt::Kind::StackExit:
+    return "end of stackalloc " + cast<Stackalloc>(S.C)->name();
   }
-  return Out;
+  return "";
 }
 
 } // namespace analysis

@@ -44,6 +44,9 @@ struct CfgStmt {
   std::string Path;                ///< Hierarchical location, e.g. "body.1".
 };
 
+/// Prints one CFG statement on one line, as diagnostics quote it.
+std::string stmtStr(const CfgStmt &S);
+
 struct BasicBlock {
   enum class Term {
     Jump,  ///< Unconditional edge to TrueSucc.
@@ -79,8 +82,6 @@ public:
   /// Position of each block in rpo() (indexed by block id); worklists use
   /// it as their priority.
   const std::vector<unsigned> &rpoPos() const { return RpoPos; }
-
-  std::string str() const;
 
 private:
   std::vector<BasicBlock> Blocks;

@@ -101,23 +101,11 @@ AbiInfo makeAbiInfo(const Function &Fn, const sep::FnSpec &Spec,
   Info.EntryFacts = St.Facts;
 
   // Pre-register a Scratch region per stackalloc site in the body.
-  std::function<void(const Cmd *)> Walk = [&](const Cmd *C) {
-    if (!C)
-      return;
-    switch (C->kind()) {
-    case Cmd::Kind::Seq:
-      Walk(cast<Seq>(C)->first());
-      Walk(cast<Seq>(C)->second());
-      break;
-    case Cmd::Kind::If:
-      Walk(cast<If>(C)->thenCmd());
-      Walk(cast<If>(C)->elseCmd());
-      break;
-    case Cmd::Kind::While:
-      Walk(cast<While>(C)->body());
-      break;
-    case Cmd::Kind::Stackalloc: {
-      const auto *SA = cast<Stackalloc>(C);
+  if (Fn.Body)
+    forEachCmd(*Fn.Body, [&](const Cmd &C) {
+      const auto *SA = dyn_cast<Stackalloc>(&C);
+      if (!SA)
+        return;
       Region R;
       R.K = Region::Kind::Scratch;
       R.Name = SA->name();
@@ -128,15 +116,8 @@ AbiInfo makeAbiInfo(const Function &Fn, const sep::FnSpec &Spec,
       R.ClauseStr =
           "scratch " + SA->name() + "[" + std::to_string(N) + "B]";
       Info.Regions.push_back(R);
-      Info.StackRegion[C] = int(Info.Regions.size()) - 1;
-      Walk(SA->body());
-      break;
-    }
-    default:
-      break;
-    }
-  };
-  Walk(Fn.Body.get());
+      Info.StackRegion[SA] = int(Info.Regions.size()) - 1;
+    });
 
   return Info;
 }
@@ -504,6 +485,7 @@ void SymState::addFact(const LinTerm &T, const std::string &Reason) {
 
 solver::FactDb SymbolicDomain::materialize(const State &St) const {
   solver::FactDb Db;
+  Db.setBudget(Abi.EntryFacts.budget());
   for (const auto &[Key, Row] : St.Facts)
     Db.addGe0(Row.first, Row.second);
   return Db;

@@ -282,8 +282,9 @@ public:
   /// changes (see Dataflow.h).
   bool restartLoops() const { return true; }
 
-  /// Rebuilds a solver database from a state's fact rows plus the entry
-  /// facts.
+  /// Rebuilds a solver database from a state's fact rows (entry() seeds
+  /// them with the entry facts). The database inherits the entry facts'
+  /// budget, so every query the domain asks charges the layer budget.
   solver::FactDb materialize(const State &St) const;
 
   /// Installs a callback receiving every Load/Store/TableGet the transfer

@@ -159,6 +159,28 @@ ExprPtr mul(ExprPtr L, ExprPtr R) {
 
 static std::string pad(unsigned Indent) { return std::string(Indent, ' '); }
 
+void forEachCmd(const Cmd &C, const std::function<void(const Cmd &)> &Fn) {
+  Fn(C);
+  if (const auto *S = dyn_cast<Seq>(&C)) {
+    forEachCmd(*S->first(), Fn);
+    forEachCmd(*S->second(), Fn);
+  } else if (const auto *I = dyn_cast<If>(&C)) {
+    forEachCmd(*I->thenCmd(), Fn);
+    forEachCmd(*I->elseCmd(), Fn);
+  } else if (const auto *W = dyn_cast<While>(&C)) {
+    forEachCmd(*W->body(), Fn);
+  } else if (const auto *SA = dyn_cast<Stackalloc>(&C)) {
+    forEachCmd(*SA->body(), Fn);
+  }
+}
+
+std::string Cmd::line() const {
+  std::string Out = str(0);
+  while (!Out.empty() && (Out.back() == '\n' || Out.back() == ' '))
+    Out.pop_back();
+  return Out;
+}
+
 std::string Skip::str(unsigned Indent) const {
   return pad(Indent) + "/*skip*/\n";
 }

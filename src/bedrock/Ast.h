@@ -212,6 +212,10 @@ public:
 
   virtual std::string str(unsigned Indent = 0) const = 0;
 
+  /// A straight-line command on one line: str(0) without its trailing
+  /// newline, for notes and diagnostics that quote the command.
+  std::string line() const;
+
   /// Number of statement nodes (used for the §4.3 statements/second metric).
   virtual unsigned countStmts() const { return 1; }
 
@@ -401,6 +405,10 @@ private:
   std::string Action;
   std::vector<ExprPtr> Args;
 };
+
+/// Calls \p Fn on \p C, then on every command nested in it, in program
+/// order.
+void forEachCmd(const Cmd &C, const std::function<void(const Cmd &)> &Fn);
 
 /// Convenience constructors.
 CmdPtr skip();

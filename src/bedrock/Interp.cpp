@@ -269,7 +269,7 @@ Status Interp::exec(State &S, const Function &Fn, const Cmd &C) {
     const auto *SetC = cast<Set>(&C);
     Result<Word> V = eval(S.Mem, Fn, *SetC->value());
     if (!V)
-      return V.takeError().note("in " + SetC->str(0));
+      return V.takeError().note("in " + SetC->line());
     define(SetC->name(), *V);
     return Status::success();
   }
@@ -289,7 +289,7 @@ Status Interp::exec(State &S, const Function &Fn, const Cmd &C) {
       return Val.takeError();
     Status Ok = S.Mem.storeN(St->size(), *Addr, *Val);
     if (!Ok)
-      return Ok.takeError().note("in " + St->str(0));
+      return Ok.takeError().note("in " + St->line());
     return Status::success();
   }
 

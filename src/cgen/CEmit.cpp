@@ -33,42 +33,16 @@ struct Bindings {
 
 /// Records how each local of \p C is bound.
 void collectBindings(const Cmd &C, Bindings *Out) {
-  switch (C.kind()) {
-  case Cmd::Kind::Set:
-    Out->Sets.push_back(cast<Set>(&C));
-    return;
-  case Cmd::Kind::Seq: {
-    const auto *S = cast<Seq>(&C);
-    collectBindings(*S->first(), Out);
-    collectBindings(*S->second(), Out);
-    return;
-  }
-  case Cmd::Kind::If: {
-    const auto *I = cast<If>(&C);
-    collectBindings(*I->thenCmd(), Out);
-    collectBindings(*I->elseCmd(), Out);
-    return;
-  }
-  case Cmd::Kind::While:
-    collectBindings(*cast<While>(&C)->body(), Out);
-    return;
-  case Cmd::Kind::Call:
-    for (const std::string &R : cast<Call>(&C)->rets())
-      Out->Opaque.insert(R);
-    return;
-  case Cmd::Kind::Interact:
-    for (const std::string &R : cast<Interact>(&C)->rets())
-      Out->Opaque.insert(R);
-    return;
-  case Cmd::Kind::Stackalloc: {
-    const auto *S = cast<Stackalloc>(&C);
-    Out->Scoped.insert(S->name());
-    collectBindings(*S->body(), Out);
-    return;
-  }
-  default:
-    return;
-  }
+  forEachCmd(C, [Out](const Cmd &Sub) {
+    if (const auto *S = dyn_cast<Set>(&Sub))
+      Out->Sets.push_back(S);
+    else if (const auto *Cl = dyn_cast<Call>(&Sub))
+      Out->Opaque.insert(Cl->rets().begin(), Cl->rets().end());
+    else if (const auto *I = dyn_cast<Interact>(&Sub))
+      Out->Opaque.insert(I->rets().begin(), I->rets().end());
+    else if (const auto *SA = dyn_cast<Stackalloc>(&Sub))
+      Out->Scoped.insert(SA->name());
+  });
 }
 
 /// Whether \p E is in [0, 255] whenever every local in \p Bytes is: a

@@ -7,9 +7,6 @@
 
 #include "codelint/Codelint.h"
 
-#include "analysis/Cfg.h"
-#include "analysis/Dataflow.h"
-
 #include <algorithm>
 #include <functional>
 #include <map>
@@ -19,11 +16,9 @@ namespace relc {
 namespace codelint {
 
 using namespace bedrock;
-using analysis::AbiInfo;
 using analysis::AbsVal;
 using analysis::BasicBlock;
-using analysis::Cfg;
-using analysis::CfgStmt;
+using analysis::ReplayFinding;
 using analysis::SymbolicDomain;
 using analysis::SymState;
 using solver::lc;
@@ -95,42 +90,6 @@ namespace {
 //===----------------------------------------------------------------------===//
 // Shared helpers.
 //===----------------------------------------------------------------------===//
-
-/// Prints one CFG statement on one line (same rendering as the analyzer's
-/// diagnostics, so the two layers read alike).
-std::string stmtStr(const CfgStmt &S) {
-  std::string Out;
-  switch (S.K) {
-  case CfgStmt::Kind::Simple:
-    Out = S.C->str(0);
-    break;
-  case CfgStmt::Kind::StackEnter:
-    Out = "stackalloc " + cast<Stackalloc>(S.C)->name();
-    break;
-  case CfgStmt::Kind::StackExit:
-    Out = "end of stackalloc " + cast<Stackalloc>(S.C)->name();
-    break;
-  }
-  while (!Out.empty() && (Out.back() == '\n' || Out.back() == ' '))
-    Out.pop_back();
-  return Out;
-}
-
-/// Calls \p Fn for every variable whose value can flow into \p E's result.
-/// Unlike bedrock::forEachVar, it does not descend into a Load's address
-/// or a TableGet's index: those only select the word that is read, and a
-/// loaded word is memory contents. For memory to hold a stackalloc
-/// pointer, an earlier store must have written it, and that store is
-/// flagged itself.
-void forEachValueVar(const Expr &E,
-                     const std::function<void(const std::string &)> &Fn) {
-  if (const auto *V = dyn_cast<Var>(&E)) {
-    Fn(V->name());
-  } else if (const auto *B = dyn_cast<Bin>(&E)) {
-    forEachValueVar(*B->lhs(), Fn);
-    forEachValueVar(*B->rhs(), Fn);
-  }
-}
 
 uint64_t satAdd(uint64_t A, uint64_t B) {
   return A > ~uint64_t(0) - B ? ~uint64_t(0) : A + B;
@@ -206,32 +165,23 @@ std::map<std::string, std::vector<DefRec>> defsIn(const Cmd *C) {
 
 class Linter {
 public:
-  Linter(const Function &Fn, const AbiInfo &AbiIn, const guard::Budget *Budget)
-      : Fn(Fn), Abi(AbiIn), Budget(Budget), G(Cfg::build(Fn)),
-        Sym(G, Fn, Abi) {
-    // The copy carries the budget: every domain state clones EntryFacts,
-    // and FactDb copies carry it along, so all solver queries are bounded.
-    Abi.EntryFacts.setBudget(Budget);
-  }
+  explicit Linter(const analysis::TargetFacts &T)
+      : T(T), Fn(T.Fn), Budget(T.Budget), SymR(T.SymR) {}
 
   Report run() {
     R.Fn = Fn.Name;
-    SymR = analysis::runForward(G, Sym, 64, Budget);
     checkMemory();
     checkStack();
     checkSteps();
-    if (Budget && Budget->exhausted())
-      R.BudgetExhausted = true;
+    R.BudgetExhausted = T.exhausted();
     return std::move(R);
   }
 
 private:
+  const analysis::TargetFacts &T;
   const Function &Fn;
-  AbiInfo Abi; ///< Copy: its EntryFacts carry the budget (see ctor).
   const guard::Budget *Budget;
-  Cfg G;
-  SymbolicDomain Sym;
-  analysis::DataflowResult<SymbolicDomain> SymR;
+  const analysis::DataflowResult<SymbolicDomain> &SymR;
   Report R;
 
   void finding(const std::string &Reason, const std::string &Path,
@@ -239,13 +189,8 @@ private:
     R.Findings.push_back({Reason, Path, Detail});
   }
 
-  /// A proof just failed; was it a genuine refusal or budget starvation?
-  /// Exhaustion latches, so every later query also fails — those failures
-  /// must degrade to Unknown, never escalate to Unsafe.
-  bool exhausted() const { return Budget && Budget->exhausted(); }
-
   //===--------------------------------------------------------------------===//
-  // Memory safety: solver-checked access replay + frame-escape.
+  // Memory safety: the replay's access checks and frame escapes.
   //===--------------------------------------------------------------------===//
 
   void checkMemory() {
@@ -258,114 +203,43 @@ private:
       return;
     }
 
+    // Reason and detail per failed access check, indexed by
+    // ReplayFinding::Kind.
+    static const char *const Texts[][2] = {
+        {"oob-table", "access to unknown inline table"},
+        {"unknown-address", "table index is a pointer"},
+        {"oob-table", "cannot prove index $off < $size (table $table)"},
+        {"unknown-address",
+         "$what address does not provably point into any frame clause"},
+        {"expired-region", "$what into expired stackalloc region '$region'"},
+        {"oob-$what",
+         "$what offset $off not provably nonnegative in {$clause}"},
+        {"oob-$what", "cannot prove $bytes-byte $what at offset $off stays "
+                      "within {$clause}"}};
     bool Unsafe = false, Incomplete = false;
-    SymbolicDomain Replay(G, Fn, Abi);
-    const CfgStmt *CurStmt = nullptr;
-    const BasicBlock *CurBlock = nullptr;
-
-    Replay.setSink([&](const SymbolicDomain::Access &Acc, SymState &St,
-                       solver::FactDb &Db) {
-      ++R.Accesses;
-      std::string Where = CurStmt ? stmtStr(*CurStmt) : CurBlock->Cond->str();
-      auto Fail = [&](const std::string &Reason, const std::string &Detail) {
-        if (exhausted()) {
-          Incomplete = true;
-          finding("analysis-incomplete", Acc.Site,
-                  Detail + " (" + Budget->describe() + ")");
-        } else {
-          Unsafe = true;
-          finding(Reason, Acc.Site, Detail + " in: " + Where);
-        }
-      };
-
-      if (Acc.K == SymbolicDomain::Access::Kind::Table) {
-        if (!Acc.Table) {
-          Fail("oob-table", "access to unknown inline table");
-          return;
-        }
-        if (Acc.Addr.K != AbsVal::Kind::Scalar) {
-          Fail("unknown-address", "table index is a pointer");
-          return;
-        }
-        if (!Db.entailsLt(Acc.Addr.T, lc(int64_t(Acc.Table->Elements.size()))))
-          Fail("oob-table", "cannot prove index " + Acc.Addr.T.str() + " < " +
-                                std::to_string(Acc.Table->Elements.size()) +
-                                " (table " + Acc.Table->Name + ")");
-        return;
+    R.Accesses = T.Accesses;
+    for (const ReplayFinding &F : T.Findings) {
+      const std::string &Site = F.Acc.Site;
+      if (F.K == ReplayFinding::Kind::StoresScopedPtr) {
+        Unsafe = true;
+        finding("frame-escape", Site,
+                "stackalloc pointer '" + F.Var + "' stored to memory in: " +
+                    F.Where);
+      } else if (F.K == ReplayFinding::Kind::ReturnsScopedPtr) {
+        Unsafe = true;
+        finding("frame-escape", Site,
+                "return value '" + F.Var +
+                    "' is a pointer into a stackalloc frame");
+      } else if (F.Exhausted) {
+        Incomplete = true;
+        finding("analysis-incomplete", Site,
+                F.text(Texts[size_t(F.K)][1], T.Abi) + " (" +
+                    Budget->describe() + ")");
+      } else {
+        Unsafe = true;
+        finding(F.text(Texts[size_t(F.K)][0], T.Abi), Site,
+                F.text(Texts[size_t(F.K)][1], T.Abi) + " in: " + F.Where);
       }
-
-      const bool IsStore = Acc.K == SymbolicDomain::Access::Kind::Store;
-      const char *What = IsStore ? "store" : "load";
-      const char *OobReason = IsStore ? "oob-store" : "oob-load";
-      if (Acc.Addr.K != AbsVal::Kind::Ptr) {
-        Fail("unknown-address",
-             std::string(What) +
-                 " address does not provably point into any frame clause");
-        return;
-      }
-      const analysis::Region &Reg = Abi.Regions[size_t(Acc.Addr.Region)];
-      if (St.DeadRegions.count(Acc.Addr.Region)) {
-        Fail("expired-region", std::string(What) +
-                                   " into expired stackalloc region '" +
-                                   Reg.Name + "'");
-        return;
-      }
-      if (!Db.entailsLe(lc(0), Acc.Addr.T)) {
-        Fail(OobReason, std::string(What) + " offset " + Acc.Addr.T.str() +
-                            " not provably nonnegative in {" + Reg.ClauseStr +
-                            "}");
-        return;
-      }
-      if (!Db.entailsLe(Acc.Addr.T + lc(int64_t(Acc.Bytes)), Reg.Extent))
-        Fail(OobReason, "cannot prove " + std::to_string(Acc.Bytes) +
-                            "-byte " + What + " at offset " +
-                            Acc.Addr.T.str() + " stays within {" +
-                            Reg.ClauseStr + "}");
-    });
-
-    // A scoped (stackalloc) pointer leaking out of its lexical frame —
-    // stored to memory or returned — is a use-after-free in waiting even
-    // when the leaking access itself is in bounds.
-    auto ScopedPtr = [&](const SymState &St, const std::string &V) -> bool {
-      auto It = St.Env.find(V);
-      return It != St.Env.end() && It->second.K == AbsVal::Kind::Ptr &&
-             It->second.Region >= 0 &&
-             Abi.Regions[size_t(It->second.Region)].Scoped;
-    };
-
-    for (unsigned Id : G.rpo()) {
-      if (!SymR.In[Id])
-        continue;
-      const BasicBlock &B = G.block(Id);
-      CurBlock = &B;
-      SymState S = *SymR.In[Id];
-      for (const CfgStmt &St : B.Stmts) {
-        CurStmt = &St;
-        if (St.K == CfgStmt::Kind::Simple)
-          if (const auto *Str = dyn_cast<Store>(St.C))
-            forEachValueVar(*Str->value(), [&](const std::string &V) {
-              if (ScopedPtr(S, V)) {
-                Unsafe = true;
-                finding("frame-escape", St.Path,
-                        "stackalloc pointer '" + V +
-                            "' stored to memory in: " + stmtStr(St));
-              }
-            });
-        Replay.transfer(G, B, St, S);
-      }
-      CurStmt = nullptr;
-      // Branch conditions can contain loads/table reads too; evaluating
-      // one edge visits every access in the condition.
-      if (B.T == BasicBlock::Term::Branch)
-        (void)Replay.edge(G, B, S, true);
-      if (B.T == BasicBlock::Term::Exit)
-        for (const std::string &Ret : Fn.Rets)
-          if (ScopedPtr(S, Ret)) {
-            Unsafe = true;
-            finding("frame-escape", "",
-                    "return value '" + Ret +
-                        "' is a pointer into a stackalloc frame");
-          }
     }
 
     R.Mem = Unsafe      ? Verdict::Unsafe
@@ -412,41 +286,21 @@ private:
     // Calls: a self-call cannot bound its own frame (unbounded stack); any
     // other callee is outside this single-function analysis.
     Verdict V = Verdict::Safe;
-    std::function<void(const Cmd *)> Walk = [&](const Cmd *C) {
-      switch (C->kind()) {
-      case Cmd::Kind::Call: {
-        const auto *Cl = cast<Call>(C);
-        if (Cl->callee() == Fn.Name) {
-          V = Verdict::Unsafe;
-          finding("unbounded-stack", "",
-                  "recursive call to '" + Cl->callee() +
-                      "' has no bounded stack frame");
-        } else if (V == Verdict::Safe) {
-          V = Verdict::Unknown;
-          finding("unknown-callee", "",
-                  "cannot bound the frame of callee '" + Cl->callee() + "'");
-        }
+    forEachCmd(*Fn.Body, [&](const Cmd &C) {
+      const auto *Cl = dyn_cast<Call>(&C);
+      if (!Cl)
         return;
+      if (Cl->callee() == Fn.Name) {
+        V = Verdict::Unsafe;
+        finding("unbounded-stack", "",
+                "recursive call to '" + Cl->callee() +
+                    "' has no bounded stack frame");
+      } else if (V == Verdict::Safe) {
+        V = Verdict::Unknown;
+        finding("unknown-callee", "",
+                "cannot bound the frame of callee '" + Cl->callee() + "'");
       }
-      case Cmd::Kind::Seq:
-        Walk(cast<Seq>(C)->first());
-        Walk(cast<Seq>(C)->second());
-        return;
-      case Cmd::Kind::If:
-        Walk(cast<If>(C)->thenCmd());
-        Walk(cast<If>(C)->elseCmd());
-        return;
-      case Cmd::Kind::While:
-        Walk(cast<While>(C)->body());
-        return;
-      case Cmd::Kind::Stackalloc:
-        Walk(cast<Stackalloc>(C)->body());
-        return;
-      default:
-        return;
-      }
-    };
-    Walk(Fn.Body.get());
+    });
     R.Stack = V;
   }
 
@@ -479,7 +333,7 @@ private:
 
   /// The loop header block owning \p Cond (by node identity).
   const BasicBlock *headerFor(const Expr *Cond) const {
-    for (const BasicBlock &B : G.blocks())
+    for (const BasicBlock &B : T.G.blocks())
       if (B.IsLoopHeader && B.T == BasicBlock::Term::Branch &&
           B.Cond == Cond)
         return &B;
@@ -603,7 +457,7 @@ private:
       auto EnvIt = St.Env.find(Bv->name());
       if (EnvIt == St.Env.end() || EnvIt->second.K != AbsVal::Kind::Scalar)
         return std::nullopt;
-      solver::FactDb Db = Sym.materialize(St);
+      solver::FactDb Db = T.Sym.materialize(St);
       Ub = upperBound(Db, EnvIt->second.T);
     }
     if (!Ub || satAdd(*Ub, *DeltaMax) > (uint64_t(1) << 62))
@@ -698,7 +552,7 @@ private:
       R.StepBound = *Total;
     } else {
       R.Steps = Verdict::Unknown;
-      if (exhausted())
+      if (T.exhausted())
         finding("analysis-incomplete",
                 "", "step-bound search stopped: " + Budget->describe());
     }
@@ -707,12 +561,16 @@ private:
 
 } // namespace
 
+Report analyzeFunction(const analysis::TargetFacts &T) {
+  return Linter(T).run();
+}
+
 Report analyzeFunction(const Function &Fn, const sep::FnSpec &Spec,
                        const ir::SourceFn &Src,
                        const analysis::EntryFactList &Hints,
                        const guard::Budget *Budget) {
-  return Linter(Fn, analysis::makeAbiInfo(Fn, Spec, Src, Hints), Budget)
-      .run();
+  return analyzeFunction(analysis::TargetFacts(
+      Fn, analysis::makeAbiInfo(Fn, Spec, Src, Hints), Budget));
 }
 
 Report analyzeStackProgram(const stackm::TProgram &P) {

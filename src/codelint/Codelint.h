@@ -14,12 +14,11 @@
 //
 // Three analyses, each with a three-valued verdict:
 //
-//   - Memory safety: the analysis CFG + worklist engine runs the symbolic
-//     points-to/interval domain over the emitted code and replays every
-//     load/store/table access through the linear solver, proving each one
-//     lands inside a region the fnspec frame owns. Scoped (stackalloc)
-//     pointers must not escape their frame — neither stored to memory nor
-//     returned.
+//   - Memory safety: the replay shared with the static analyzer
+//     (analysis/TargetFacts.h) judges every load/store/table access of the
+//     symbolic fixpoint with the linear solver, proving each one lands
+//     inside a region the fnspec frame owns. Scoped (stackalloc) pointers
+//     must not escape their frame — neither stored to memory nor returned.
 //
 //   - Stack/locals bound: a static worst-case footprint — 8 bytes per
 //     distinct local plus the worst lexical nesting of stackalloc scratch.
@@ -44,10 +43,9 @@
 #ifndef RELC_CODELINT_CODELINT_H
 #define RELC_CODELINT_CODELINT_H
 
-#include "analysis/Domains.h"
+#include "analysis/TargetFacts.h"
 #include "bedrock/Ast.h"
 #include "stackm/StackMachine.h"
-#include "support/Budget.h"
 
 #include <cstdint>
 #include <optional>
@@ -117,10 +115,13 @@ struct Report {
   std::string str() const;
 };
 
-/// Runs all three analyses over emitted Bedrock2 code, against the same ABI
-/// digest the static verifier uses (spec + model + compile hints). The
-/// budget bounds the fixpoint iteration and every solver query; exhaustion
-/// latches BudgetExhausted and degrades verdicts to Unknown.
+/// Runs all three analyses over \p T's function. \p T's budget bounds the
+/// fixpoint and every solver query; exhaustion latches BudgetExhausted and
+/// degrades verdicts to Unknown.
+Report analyzeFunction(const analysis::TargetFacts &T);
+
+/// Derives the TargetFacts of \p Fn against the same ABI digest the static
+/// verifier uses (spec + model + compile hints), then analyzes.
 Report analyzeFunction(const bedrock::Function &Fn, const sep::FnSpec &Spec,
                        const ir::SourceFn &Src,
                        const analysis::EntryFactList &Hints = {},

@@ -287,8 +287,8 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
   // Per-program job ids, for mapping scheduler-level outcomes (a job that
   // threw or was skipped) back onto named degraded outcomes after run().
   struct ProgJobs {
-    JobId Compile = NoJob, Replay = NoJob, Analysis = NoJob, Tv = NoJob,
-          Codelint = NoJob, Diff = NoJob, Certify = NoJob;
+    JobId Compile = NoJob, Replay = NoJob, Target = NoJob, Tv = NoJob,
+          Diff = NoJob, Certify = NoJob;
   };
   std::vector<ProgJobs> Jobs(Progs.size());
 
@@ -363,29 +363,54 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
         O.Replay.Ran = true;
       }, {JCompile}));
 
-    if (Opts.Analyze)
-      StaticJobs.push_back(Jobs[I].Analysis =
-                               G.add(P->Name + "/analysis", [&O, MakeVOpts] {
-        if (!O.CompileOk || O.CacheHit ||
-            faultedAtEntry(O.Analysis, fault::Site::LayerEntry,
-                           O.Def->Name + "/analysis"))
+    // The two target-side layers share one job, one budget and one
+    // TargetFacts; each report is computed whenever its layer is enabled.
+    if (Opts.Analyze || Opts.Codelint)
+      StaticJobs.push_back(Jobs[I].Target = G.add(P->Name +
+                                                      "/analysis+codelint",
+                                                  [&O, MakeVOpts] {
+        if (!O.CompileOk || O.CacheHit)
+          return;
+        bool Analyze = O.Analysis.Enabled &&
+                       !faultedAtEntry(O.Analysis, fault::Site::LayerEntry,
+                                       O.Def->Name + "/analysis");
+        bool Lint = O.Codelint.Enabled &&
+                    !faultedAtEntry(O.Codelint, fault::Site::CodelintEntry,
+                                    O.Def->Name + "/codelint");
+        if (!Analyze && !Lint)
           return;
         validate::ValidationOptions VO = MakeVOpts();
         std::optional<guard::Budget> B;
         if (VO.LayerTimeoutMs)
           B.emplace(VO.LayerTimeoutMs, /*StepLimit=*/0);
-        O.AReport = analysis::analyzeProgram(
-            O.Compiled.Fn, O.Def->Spec, O.Def->Model,
-            O.Def->Hints.EntryFacts, B ? &*B : nullptr);
-        // Errors fail certification; warnings (dead stores, unreachable
-        // code) do not — they can be faithful images of a model's own dead
-        // lets or decided branches. relc-lint is the strict gate.
-        O.AnalysisWarnings = O.AReport.numWarnings();
-        O.Analysis.Ok = !O.AReport.hasErrors();
-        O.Analysis.Degraded = O.AReport.BudgetExhausted;
-        for (const analysis::Diagnostic &D : O.AReport.Diags)
-          O.AnalysisDiags += (O.AnalysisDiags.empty() ? "" : "\n") + D.str();
-        O.Analysis.Ran = true;
+        analysis::TargetFacts Facts(
+            O.Compiled.Fn,
+            analysis::makeAbiInfo(O.Compiled.Fn, O.Def->Spec, O.Def->Model,
+                                  O.Def->Hints.EntryFacts),
+            B ? &*B : nullptr);
+        if (Analyze) {
+          O.AReport = analysis::analyzeFunction(Facts);
+          // Errors fail certification; warnings (dead stores, unreachable
+          // code) do not — they can be faithful images of a model's own
+          // dead lets or decided branches. relc-lint is the strict gate.
+          O.AnalysisWarnings = O.AReport.numWarnings();
+          O.Analysis.Ok = !O.AReport.hasErrors();
+          O.Analysis.Degraded = O.AReport.BudgetExhausted;
+          for (const analysis::Diagnostic &D : O.AReport.Diags)
+            O.AnalysisDiags +=
+                (O.AnalysisDiags.empty() ? "" : "\n") + D.str();
+          O.Analysis.Ran = true;
+        }
+        if (Lint) {
+          O.ClReport = codelint::analyzeFunction(Facts);
+          O.CodelintVerdictName = codelint::verdictName(O.ClReport.overall());
+          // The pipeline gate is refutation-shaped: only a demonstrated
+          // violation (Unsafe) fails certification. Unknown passes here —
+          // the strict all-Safe gate is relc-lint --code.
+          O.Codelint.Ok = O.ClReport.overall() != codelint::Verdict::Unsafe;
+          O.Codelint.Degraded = O.ClReport.BudgetExhausted;
+          O.Codelint.Ran = true;
+        }
       }, {JCompile}));
 
     if (Opts.Tv)
@@ -416,29 +441,6 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
         // job, where the codelint layer's record (if any) can be merged
         // in as the optional "codelint" section.
         O.Tv.Ran = true;
-      }, {JCompile}));
-
-    if (Opts.Codelint)
-      StaticJobs.push_back(Jobs[I].Codelint =
-                               G.add(P->Name + "/codelint", [&O, MakeVOpts] {
-        if (!O.CompileOk || O.CacheHit ||
-            faultedAtEntry(O.Codelint, fault::Site::CodelintEntry,
-                           O.Def->Name + "/codelint"))
-          return;
-        validate::ValidationOptions VO = MakeVOpts();
-        std::optional<guard::Budget> B;
-        if (VO.LayerTimeoutMs)
-          B.emplace(VO.LayerTimeoutMs, /*StepLimit=*/0);
-        O.ClReport = codelint::analyzeFunction(
-            O.Compiled.Fn, O.Def->Spec, O.Def->Model,
-            O.Def->Hints.EntryFacts, B ? &*B : nullptr);
-        O.CodelintVerdictName = codelint::verdictName(O.ClReport.overall());
-        // The pipeline gate is refutation-shaped: only a demonstrated
-        // violation (Unsafe) fails certification. Unknown passes here —
-        // the strict all-Safe gate is relc-lint --code.
-        O.Codelint.Ok = O.ClReport.overall() != codelint::Verdict::Unsafe;
-        O.Codelint.Degraded = O.ClReport.BudgetExhausted;
-        O.Codelint.Ran = true;
       }, {JCompile}));
 
     //--- Differential certification: after every static layer passed.
@@ -542,7 +544,8 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
   // named degraded outcomes, in fixed layer order so serial and parallel
   // runs render identically. Without this, a dead job would leave its
   // layer looking "never enabled" and the program would fail with no
-  // explanation at all.
+  // explanation at all. The shared analysis+codelint job maps onto each
+  // enabled layer it carried; a disabled layer stays untouched.
   auto Problem = [&G](JobId J) -> std::optional<std::string> {
     if (J == NoJob)
       return std::nullopt;
@@ -568,12 +571,12 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
     };
     for (const LayerJob &LJ :
          {LayerJob{PJ.Replay, &O.Replay, "derivation replay"},
-          LayerJob{PJ.Analysis, &O.Analysis, "static analysis"},
+          LayerJob{PJ.Target, &O.Analysis, "static analysis"},
           LayerJob{PJ.Tv, &O.Tv, "translation validation"},
-          LayerJob{PJ.Codelint, &O.Codelint, "codelint"},
+          LayerJob{PJ.Target, &O.Codelint, "codelint"},
           LayerJob{PJ.Diff, &O.Diff, "differential certification"}}) {
       auto W = Problem(LJ.J);
-      if (!W)
+      if (!W || !LJ.L->Enabled)
         continue;
       LJ.L->Degraded = true;
       LJ.L->Ok = false;

@@ -10,14 +10,16 @@
 // that certifies a program. For each program, a dependency-aware job
 // chain
 //
-//     compile ──> { derivation replay, static analysis, translation
-//                   validation, codelint } (independent once code exists)
+//     compile ──> { derivation replay, static analysis + codelint,
+//                   translation validation } (independent once code exists)
 //             ──> differential certification
 //             ──> certificate store
 //
 // executed on the work-stealing scheduler (pipeline/Scheduler.h) across
 // programs and layers, with verdicts reused across runs through the
-// content-addressed certificate cache (pipeline/CertCache.h).
+// content-addressed certificate cache (pipeline/CertCache.h). Static
+// analysis and codelint share one job, one budget and one
+// analysis::TargetFacts; each keeps its own entry probe and report.
 //
 // Reproducibility contract: all diagnostics are buffered into per-program
 // outcome fields — jobs never print — and consumed by the caller in
@@ -69,7 +71,8 @@ struct PipelineOptions {
   /// per-program ValidationOptions so every certification layer is
   /// wall-clock terminating. Exhaustion degrades the layer (see
   /// LayerRun::Degraded), it never hangs or wrongly accepts.
-  unsigned LayerTimeoutMs = 0; ///< Per-layer deadline, ms. 0 = unlimited.
+  unsigned LayerTimeoutMs = 0; ///< Per-job deadline, ms (analysis and
+                               ///< codelint share one). 0 = unlimited.
   uint64_t TvStepBudget = 0;   ///< TV step cap. 0 = unlimited.
   /// Reclassify programs whose only problems are budget exhaustion or
   /// injected faults as "degraded" rather than failed (relc-gen exit 3,

@@ -8,10 +8,10 @@
 // A small dependency-aware job graph executed by a fixed-size thread pool
 // with work stealing. This is the engine under the parallel certification
 // pipeline (pipeline/Pipeline.h): per program, compile -> {derivation
-// replay, static analysis, translation validation} -> differential
-// certification, where the three middle layers are independent once the
-// code is emitted — per-function certification is embarrassingly parallel,
-// exactly as in CompCert-style pipelines.
+// replay, static analysis + codelint, translation validation} ->
+// differential certification, where the middle jobs are independent once
+// the code is emitted — per-function certification is embarrassingly
+// parallel, exactly as in CompCert-style pipelines.
 //
 // Design rules, chosen so parallel runs are *reproducible*:
 //

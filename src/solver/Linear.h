@@ -147,6 +147,7 @@ public:
   /// wrong. Copies of the database share the pointer (the Budget outlives
   /// the layer run that owns both). Null disarms.
   void setBudget(const guard::Budget *B) { Budget = B; }
+  const guard::Budget *budget() const { return Budget; }
 
 private:
   struct Row {

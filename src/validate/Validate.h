@@ -91,9 +91,9 @@ struct ValidationOptions {
   // differential failure naming the budget — never to a wrong accept.
   //===------------------------------------------------------------------===//
 
-  /// Wall-clock deadline, in milliseconds, for each certification layer
-  /// (analysis, tv, and the differential vector loop each get their own
-  /// fresh deadline). 0 = unlimited.
+  /// Wall-clock deadline, in milliseconds, for each certification job
+  /// (the analysis+codelint job, tv, and the differential vector loop each
+  /// get their own fresh deadline). 0 = unlimited.
   unsigned LayerTimeoutMs = 0;
   /// Step budget for the symbolic validator: caps term-graph interning plus
   /// bijection-search nodes. 0 = unlimited.

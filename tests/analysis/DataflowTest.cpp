@@ -15,6 +15,7 @@
 
 #include "analysis/Dataflow.h"
 #include "analysis/Domains.h"
+#include "support/Budget.h"
 
 #include <gtest/gtest.h>
 
@@ -270,6 +271,30 @@ TEST(DataflowTest, SymbolicEdgeRefinementProvesGuard) {
   ASSERT_NE(It, S.Env.end());
   EXPECT_TRUE(Db.proveLe(It->second.T + solver::lc(1), solver::ls("len_s")))
       << "guard refinement must bound i by the array length";
+}
+
+TEST(DataflowTest, MaterializedFactsChargeTheEntryBudget) {
+  // z <= x follows from x >= y >= z only by elimination: no fact bounds a
+  // single symbol by a constant, so the interval fast path cannot see it.
+  // A database materialized from a state must charge the budget the entry
+  // facts carry, and so answer "cannot refute" once it has run out.
+  Function F = mkFn(skip());
+  Cfg G = Cfg::build(F);
+  AbiInfo Abi;
+  guard::Budget B(/*DeadlineMs=*/0, /*StepLimit=*/1000);
+  Abi.EntryFacts.setBudget(&B);
+  SymbolicDomain D(G, F, Abi);
+  SymState S;
+  S.addFact(solver::ls("x") - solver::ls("y"), "x >= y");
+  S.addFact(solver::ls("y") - solver::ls("z"), "y >= z");
+  EXPECT_TRUE(D.materialize(S).entailsLe(solver::ls("z"), solver::ls("x")));
+  EXPECT_GT(B.stepsUsed(), 0u) << "the query must charge the budget";
+
+  while (B.step()) {
+  }
+  ASSERT_TRUE(B.exhausted());
+  EXPECT_FALSE(D.materialize(S).entailsLe(solver::ls("z"), solver::ls("x")))
+      << "an exhausted budget must make the query answer 'cannot refute'";
 }
 
 } // namespace

@@ -278,7 +278,7 @@ TEST(BedrockInterpTest, UndefinedLocalTextIsPinned) {
   F.Body = seqAll({set("t", lit(1)), set("r", add(var("t"), var("ghost")))});
   EXPECT_EQ(failureText(oneFunction(std::move(F)), "f"),
             "read of undefined local 'ghost'\n"
-            "  note: in r = (t + ghost)\n\n"
+            "  note: in r = (t + ghost)\n"
             "  note: in function f");
 }
 
@@ -290,7 +290,7 @@ TEST(BedrockInterpTest, ReadAfterUnsetTextIsPinned) {
   F.Body = seqAll({set("x", var("a")), unset("x"), set("r", var("x"))});
   EXPECT_EQ(failureText(oneFunction(std::move(F)), "f", {5}),
             "read of undefined local 'x'\n"
-            "  note: in r = x\n\n"
+            "  note: in r = x\n"
             "  note: in function f");
 }
 
@@ -303,7 +303,7 @@ TEST(BedrockInterpTest, StackallocBinderIsUndefinedAfterItsScope) {
                    set("r", var("p"))});
   EXPECT_EQ(failureText(oneFunction(std::move(F)), "f"),
             "read of undefined local 'p'\n"
-            "  note: in r = p\n\n"
+            "  note: in r = p\n"
             "  note: in function f");
 }
 
@@ -319,7 +319,7 @@ TEST(BedrockInterpTest, CalleeCannotReadItsCallersLocals) {
   Module M;
   M.Functions = {Callee, Caller};
   EXPECT_EQ(failureText(M, "main"), "read of undefined local 'x'\n"
-                                    "  note: in y = x\n\n"
+                                    "  note: in y = x\n"
                                     "  note: in function peek\n"
                                     "  note: in call to peek\n"
                                     "  note: in function main");
