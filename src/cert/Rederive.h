@@ -12,25 +12,27 @@
 //   - the content key is recomputed with cert::contentKey, so a stale or
 //     tampered certificate is pinned before any symbolic work;
 //   - the model is re-evaluated binding by binding and the command tree
-//     re-executed, both into a fresh tv::TermGraph — the same interning
-//     normalizer the producer used, but *only* the normalizer: no TV
-//     driver, no solver search, no matching heuristics;
+//     re-executed, both into a fresh tv::TermGraph, by the shared symbolic
+//     evaluator (tv::SymEval) — the producer's own evaluation rules, but
+//     no TV driver, no solver search, no matching heuristics;
 //   - where the producer *searched* for a bijection between loop-carried
-//     locals and the model's carried positions, the checker *replays* the
-//     certificate's recorded witness and verifies the guard/step/region
-//     equations deterministically. A wrong witness cannot be patched over:
-//     the equations simply fail to intern equal.
+//     locals and the model's carried positions, the checker's loop seam
+//     *replays* the certificate's recorded witness and verifies the
+//     guard/step/region equations deterministically. A wrong witness
+//     cannot be patched over: the equations simply fail to intern equal.
 //
 // The re-derived trace (binding hashes, loop summaries, output channels)
 // must then equal the certificate's records exactly. This is the de Bruijn
-// criterion applied to translation validation: the ~1300-line searching
-// validator is audited by this much smaller deterministic replayer, and a
-// certificate is only as good as what the replayer can confirm.
+// criterion applied to translation validation: the searcher is audited by
+// a deterministic replayer, and a certificate is only as good as what the
+// replayer can confirm.
 //
-// Trusted base of an accept: cert::contentKey, the TermGraph normalization
-// rules (tv/Term.cpp), the two symbolic evaluators below, and the ABI
-// digest (analysis::makeAbiInfo). Explicitly NOT trusted: tv/Tv.cpp.
-// relc-check's link line is CI-audited to contain no TV-driver symbols.
+// Trusted base of an accept: the TermGraph normalizer (tv/Term.cpp), the
+// shared evaluator (tv/SymEval.cpp), the ABI digest
+// (analysis::makeAbiInfo), cert::contentKey, and the witness replay below
+// (cert/Rederive.cpp). Explicitly NOT trusted: tv/Tv.cpp, the search.
+// relc-check's link line is CI-audited to contain the evaluator and no
+// TV-driver symbol.
 //
 //===----------------------------------------------------------------------===//
 

@@ -527,7 +527,9 @@ private:
       auto Body = cost(W->body());
       auto Trips = tripBound(W);
       if (!Body || !Trips) {
-        if (Body && !Trips)
+        // A starved budget also leaves tripBound empty; checkSteps'
+        // analysis-incomplete names that, not the loop.
+        if (Body && !Trips && !T.exhausted())
           finding("unknown-step-bound", "",
                   "no trip-count bound for loop condition " +
                       W->cond()->str());

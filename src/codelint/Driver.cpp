@@ -1,4 +1,4 @@
-//===- codelint/Driver.cpp - Codelint driver over the suite ---------------===//
+//===- codelint/Driver.cpp - Codelint over the stackm examples ------------===//
 //
 // Part of relc, a C++ reproduction of "Relational Compilation for
 // Performance-Critical Applications" (PLDI 2022).
@@ -9,29 +9,6 @@
 
 namespace relc {
 namespace codelint {
-
-ProgramLint lintProgram(const programs::ProgramDef &P,
-                        const guard::Budget *Budget) {
-  ProgramLint L;
-  L.Name = P.Name;
-  core::Compiler C;
-  Result<core::CompileResult> R = C.compileFn(P.Model, P.Spec, P.Hints);
-  if (!R) {
-    L.CompileError =
-        R.takeError().note("while compiling program " + P.Name).str();
-    return L;
-  }
-  L.CompileOk = true;
-  L.R = analyzeFunction(R->Fn, P.Spec, P.Model, P.Hints.EntryFacts, Budget);
-  return L;
-}
-
-std::vector<ProgramLint> lintSuite(const guard::Budget *Budget) {
-  std::vector<ProgramLint> Out;
-  for (const programs::ProgramDef &P : programs::allPrograms())
-    Out.push_back(lintProgram(P, Budget));
-  return Out;
-}
 
 std::vector<ProgramLint> lintStackExamples() {
   using namespace stackm;

@@ -1,19 +1,21 @@
-//===- codelint/Driver.h - Codelint driver over the suite -------*- C++ -*-===//
+//===- codelint/Driver.h - Codelint over the stackm examples ----*- C++ -*-===//
 //
 // Part of relc, a C++ reproduction of "Relational Compilation for
 // Performance-Critical Applications" (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 //
-// The analyzer *driver*: compiles benchmark programs (and the §2 stackm
-// examples) and runs the codelint core over the emitted code, rendering
-// reports for the relc-codelint tool and the relc-lint --code gate.
+// The analyzer *driver* for what the certification pipeline does not
+// cover: the §2 stackm examples, compiled and analyzed here, plus the
+// rendering relc-codelint prints for every outcome. The Bedrock2 suite
+// programs run through the pipeline with the codelint layer on
+// (pipeline::certifyPrograms, ProgramOutcome::ClReport).
 //
 // Deliberately a separate library from the core (relc_codelint vs
 // relc_codelint_core): the certificate checker re-derives codelint sections
 // through the core alone, and CI asserts with nm that no driver symbol
-// (codelint::lintProgram) leaks into relc-check — the same independence
-// story the TV driver has.
+// (codelint::lintStackExamples) leaks into relc-check — the same
+// independence story the TV driver has.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +23,6 @@
 #define RELC_CODELINT_DRIVER_H
 
 #include "codelint/Codelint.h"
-#include "programs/Programs.h"
 
 #include <string>
 #include <vector>
@@ -36,14 +37,6 @@ struct ProgramLint {
   std::string CompileError;
   Report R;
 };
-
-/// Compiles \p P (no other layer runs — codelint is a static layer) and
-/// runs the three analyses over the emitted Bedrock2 function.
-ProgramLint lintProgram(const programs::ProgramDef &P,
-                        const guard::Budget *Budget = nullptr);
-
-/// Lints every Table 2 suite program, in suite order.
-std::vector<ProgramLint> lintSuite(const guard::Budget *Budget = nullptr);
 
 /// Lints the §2 stackm examples: the traditional compiler's output and the
 /// relational compiler's (base rules + the Mul/ConstFold extensions), so

@@ -5,45 +5,25 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Implementation of the per-program translation validator declared in Tv.h.
-// Two symbolic evaluators share one normalizing TermGraph:
+// The per-program translation validator declared in Tv.h: the shared
+// symbolic evaluator (tv/SymEval.h) plus the one thing only the producer
+// does, the loop seam's *search*. At the k-th While the evaluator hands
+// over the loop's summary, and the validator searches for a bijection
+// between loop-carried locals and the model's carried positions under
+// which guard, step terms, and region effects all intern to the model's
+// Fold summary. Matching succeeds only if the two loops compute the same
+// fixpoint from the same entry state, which is exactly loop equivalence at
+// every trip count. The bijection found is recorded as the certificate's
+// witness, which cert::Rederive replays instead of searching.
 //
-//   - the source evaluator walks the FunLang let-chain, turning each loop
-//     combinator into a canonical Fold summary over positional bound
-//     symbols "%Lk.cj" (carried value j of loop k) and "%Lk.r.<region>"
-//     (the havocked contents of a region the body rewrites);
-//
-//   - the target executor walks the Bedrock2 command tree over a store and
-//     a region-indexed memory, forking/joining at conditionals, and at the
-//     k-th While (execution order equals the model's loop pre-order,
-//     because compilation is syntax-directed) summarizes the loop by
-//     havocking its assigned locals and stored regions, then searches for
-//     a bijection between loop-carried locals and the model's carried
-//     positions under which guard, step terms, and region effects all
-//     intern to the model's Fold summary. Matching succeeds only if the
-//     two loops compute the same fixpoint from the same entry state, which
-//     is exactly loop equivalence at every trip count.
-//
-// Soundness: a Proved verdict means every fnspec output interned to the
-// same node on both sides; the only trusted components are the TermGraph's
-// normalization rules (each a word-level identity) and the two evaluators'
-// adherence to their language semantics. Incompleteness is deliberate and
-// safe: anything outside the fragment aborts with Inconclusive, never
-// Proved.
-//
-// The internal Abort exception never escapes this translation unit:
-// validateTranslation catches it and returns the verdict.
+// The evaluator's refusals map onto verdicts here: outside the fragment
+// is Inconclusive, a mismatch is Refuted. Neither escapes
+// validateTranslation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "tv/Tv.h"
-#include "support/Hash.h"
-#include "tv/Term.h"
 
-#include "support/Casting.h"
-#include "support/StringExtras.h"
-
-#include <algorithm>
 #include <cstdio>
 #include <functional>
 
@@ -52,204 +32,29 @@ namespace tv {
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Small utilities.
-//===----------------------------------------------------------------------===//
-
-/// Internal control-flow escape; caught at the validateTranslation boundary.
-struct Abort {
-  Verdict V;
-  std::string Reason;
-};
-
-[[noreturn]] void inconclusive(const std::string &Why) {
-  throw Abort{Verdict::Inconclusive, Why};
-}
-
-[[noreturn]] void refute(const std::string &Why) {
-  throw Abort{Verdict::Refuted, Why};
-}
-
-bedrock::BinOp lowerOp(ir::WordOp Op) {
-  switch (Op) {
-  case ir::WordOp::Add:
-    return bedrock::BinOp::Add;
-  case ir::WordOp::Sub:
-    return bedrock::BinOp::Sub;
-  case ir::WordOp::Mul:
-    return bedrock::BinOp::Mul;
-  case ir::WordOp::DivU:
-    return bedrock::BinOp::DivU;
-  case ir::WordOp::RemU:
-    return bedrock::BinOp::RemU;
-  case ir::WordOp::And:
-    return bedrock::BinOp::And;
-  case ir::WordOp::Or:
-    return bedrock::BinOp::Or;
-  case ir::WordOp::Xor:
-    return bedrock::BinOp::Xor;
-  case ir::WordOp::Shl:
-    return bedrock::BinOp::Shl;
-  case ir::WordOp::LShr:
-    return bedrock::BinOp::LShr;
-  case ir::WordOp::AShr:
-    return bedrock::BinOp::AShr;
-  case ir::WordOp::LtU:
-    return bedrock::BinOp::LtU;
-  case ir::WordOp::LtS:
-    return bedrock::BinOp::LtS;
-  case ir::WordOp::Eq:
-    return bedrock::BinOp::Eq;
-  case ir::WordOp::Ne:
-    return bedrock::BinOp::Ne;
-  }
-  inconclusive("unknown word operator");
-}
-
-std::string joinNames(const std::vector<std::string> &Names) {
-  std::string Out;
-  for (const std::string &N : Names) {
-    if (!Out.empty())
-      Out += ",";
-    Out += N;
-  }
-  return Out;
-}
-
-std::string joinSet(const std::set<std::string> &S) {
-  std::string Out;
-  for (const std::string &N : S) {
-    if (!Out.empty())
-      Out += ",";
-    Out += N;
-  }
-  return Out;
-}
-
-std::string clip(const std::string &S, size_t Max = 96) {
-  if (S.size() <= Max)
-    return S;
-  return S.substr(0, Max) + "...";
-}
-
 std::string hex64(uint64_t V) {
   char Buf[19];
   std::snprintf(Buf, sizeof(Buf), "0x%016llx", (unsigned long long)V);
   return Buf;
 }
 
-uint64_t tableMax(const std::vector<uint64_t> &Elements) {
-  uint64_t M = 0;
-  for (uint64_t E : Elements)
-    M = std::max(M, E);
-  return M;
-}
-
-bool isLoopForm(const ir::BoundForm &B) {
-  switch (B.kind()) {
-  case ir::BoundForm::Kind::ListMap:
-  case ir::BoundForm::Kind::ListFold:
-  case ir::BoundForm::Kind::FoldBreak:
-  case ir::BoundForm::Kind::RangeFold:
-  case ir::BoundForm::Kind::WhileComb:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool progHasLoop(const ir::Prog &P) {
-  for (const ir::Binding &B : P.bindings()) {
-    if (isLoopForm(*B.Bound))
-      return true;
-    if (const auto *IB = dyn_cast<ir::IfBound>(B.Bound.get()))
-      if (progHasLoop(*IB->thenProg()) || progHasLoop(*IB->elseProg()))
-        return true;
-  }
-  return false;
-}
-
-/// Arrays and cells a loop-body sub-program writes (by source name).
-void collectProgWrites(const ir::Prog &P, std::set<std::string> &Out) {
-  for (const ir::Binding &B : P.bindings()) {
-    if (const auto *AP = dyn_cast<ir::ArrayPut>(B.Bound.get()))
-      Out.insert(AP->array());
-    else if (const auto *CP = dyn_cast<ir::CellPut>(B.Bound.get()))
-      Out.insert(CP->cell());
-    else if (const auto *CI = dyn_cast<ir::CellIncr>(B.Bound.get()))
-      Out.insert(CI->cell());
-    else if (const auto *IB = dyn_cast<ir::IfBound>(B.Bound.get())) {
-      collectProgWrites(*IB->thenProg(), Out);
-      collectProgWrites(*IB->elseProg(), Out);
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Symbolic states.
-//===----------------------------------------------------------------------===//
-
-/// Value of an array-typed source name: which region holds it.
-struct SrcArr {
-  std::string Region;
-  TermId Len = NoTerm;
-  unsigned EltBytes = 1;
-};
-
-struct SrcState {
-  std::map<std::string, TermId> Scal;
-  std::map<std::string, SrcArr> Arr;
-  std::set<std::string> Cells;
-  std::map<std::string, TermId> Region; ///< Region name -> contents term.
-};
-
-struct TgtState {
-  std::map<std::string, TermId> Locals;
-  std::map<std::string, TermId> Region;
-  std::map<std::string, std::string> LocalDef;  ///< Last defining stmt path.
-  std::map<std::string, std::string> RegionDef; ///< Last writing stmt path.
-};
-
-/// One model loop's canonical summary, in pre-order.
-struct SrcLoopRec {
-  TermId Fold = NoTerm;
-  std::string BindingName; ///< Bound names, joined.
-  std::string Path;        ///< Source binding path.
-};
-
-//===----------------------------------------------------------------------===//
-// The validator.
-//===----------------------------------------------------------------------===//
-
-class Validator {
+class Validator : public SymEval {
 public:
   Validator(const ir::SourceFn &Src, const sep::FnSpec &Spec,
             const bedrock::Function &Fn, const analysis::EntryFactList &Hints,
             const guard::Budget *Budget)
-      : Src(Src), Spec(Spec), Fn(Fn),
-        Abi(analysis::makeAbiInfo(Fn, Spec, Src, Hints)), Budget(Budget) {
-    G.setEntryFacts(&Abi.EntryFacts);
-    G.setBudget(Budget);
-    Abi.EntryFacts.setBudget(Budget);
-  }
+      : SymEval(Src, Spec, Fn, Hints, Budget), Budget(Budget) {}
 
   TvReport run() {
     Rep.Fn = Fn.Name;
+    bool Evaluated = false;
     try {
-      if (Src.TheMonad != ir::Monad::Pure)
-        inconclusive(std::string("model is in the ") +
-                     ir::monadName(Src.TheMonad) +
-                     " monad; only pure programs are validated statically");
-      checkTables();
-      setupRegions();
-      SrcState SS = sourceEntry();
-      evalSrcProg(*Src.Body, SS, "");
-      TgtState TT = targetEntry();
-      execBlock(Fn.Body.get(), TT, "body");
-      compareOutputs(SS, TT);
-    } catch (const Abort &A) {
-      Rep.TheVerdict = A.V;
-      Rep.Reason = A.Reason;
+      SymEval::run();
+      Evaluated = true;
+    } catch (const Refusal &R) {
+      Rep.TheVerdict = R.Kind == RefusalKind::Mismatch ? Verdict::Refuted
+                                                       : Verdict::Inconclusive;
+      Rep.Reason = R.Reason;
     } catch (const guard::BudgetExhausted &E) {
       // Exhaustion is a refusal, never a wrong answer: the validator
       // stops claiming anything and certification falls through to the
@@ -258,828 +63,74 @@ public:
       Rep.Reason = std::string("translation validation ") + E.what();
       Rep.BudgetExhausted = true;
     }
+    for (OutputChannel &C : Outputs) {
+      OutputRecord O;
+      O.Name = std::move(C.Name);
+      O.Kind = std::move(C.Kind);
+      O.SrcHash = G.hashOf(C.Src);
+      O.TgtHash = G.hashOf(C.Tgt);
+      O.Matched = C.matched();
+      O.SrcTerm = G.str(C.Src);
+      O.TgtTerm = G.str(C.Tgt);
+      O.SourceBinding = std::move(C.SourceBinding);
+      O.TargetPath = std::move(C.TargetPath);
+      Rep.Outputs.push_back(std::move(O));
+    }
+    if (Evaluated)
+      decide();
+    Rep.Bindings = std::move(Bindings);
+    Rep.Loops = std::move(Loops);
     Rep.NumTerms = unsigned(G.size());
     return Rep;
   }
 
 private:
-  const ir::SourceFn &Src;
-  const sep::FnSpec &Spec;
-  const bedrock::Function &Fn;
-  analysis::AbiInfo Abi;
-  const guard::Budget *Budget = nullptr;
-  TermGraph G;
+  const guard::Budget *Budget;
   TvReport Rep;
 
-  std::map<std::string, unsigned> RegionWidth; ///< Region -> element bytes.
-  std::map<TermId, std::string> PtrRegion;     ///< Ptr sym id -> region.
-  std::vector<SrcLoopRec> SrcLoops;
-  unsigned TgtCursor = 0;
-  std::map<std::string, std::string> LastSrcBind; ///< Name -> description.
-  std::set<std::string> *CurStores = nullptr;
-
-  std::string canonSym(unsigned Loop, unsigned Pos) const {
-    return "%L" + std::to_string(Loop) + ".c" + std::to_string(Pos);
-  }
-  std::string canonRegionSym(unsigned Loop, const std::string &R) const {
-    return "%L" + std::to_string(Loop) + ".r." + R;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Entry states.
-  //===--------------------------------------------------------------------===//
-
-  void checkTables() {
-    for (const bedrock::InlineTable &T : Fn.Tables) {
-      const ir::TableDef *D = Src.findTable(T.Name);
-      if (!D)
-        refute("inline table '" + T.Name + "' has no counterpart in the model");
-      if (bedrock::sizeBytes(T.EltSize) != ir::eltSize(D->Elt))
-        refute("inline table '" + T.Name +
-               "' element width differs from the model's");
-      if (T.Elements != D->Elements)
-        refute("inline table '" + T.Name + "' contents differ from the model");
-    }
-  }
-
-  void setupRegions() {
-    for (const ir::Param &P : Src.Params) {
-      if (P.TheKind == ir::Param::Kind::List)
-        RegionWidth[P.Name] = ir::eltSize(P.Elt);
-      else if (P.TheKind == ir::Param::Kind::Cell)
-        RegionWidth[P.Name] = 8;
-    }
-  }
-
-  SrcState sourceEntry() {
-    // A scalar parameter the ABI declares as an array's length is the same
-    // word as the canonical "len_<array>" symbol (the requires clause ties
-    // them), so both sides must intern it identically.
-    std::map<std::string, std::string> CanonScalar;
-    for (const sep::ArgSpec &A : Spec.Args)
-      if (A.TheKind == sep::ArgSpec::Kind::ArrayLen)
-        CanonScalar[A.SourceName] = "len_" + A.OfArray;
-
-    SrcState S;
-    for (const ir::Param &P : Src.Params) {
-      switch (P.TheKind) {
-      case ir::Param::Kind::ScalarWord: {
-        auto It = CanonScalar.find(P.Name);
-        S.Scal[P.Name] =
-            G.sym(It != CanonScalar.end() ? It->second : P.Name);
-        break;
+  /// Proved iff every output channel interned to one node on both sides.
+  void decide() {
+    for (const OutputRecord &O : Rep.Outputs)
+      if (!O.Matched) {
+        Rep.TheVerdict = Verdict::Refuted;
+        Rep.Reason = "output '" + O.Name + "' [" + O.Kind +
+                     "] differs between model and target";
+        return;
       }
-      case ir::Param::Kind::List: {
-        unsigned W = ir::eltSize(P.Elt);
-        S.Arr[P.Name] = {P.Name, G.sym("len_" + P.Name), W};
-        S.Region[P.Name] = G.arrInit(P.Name, W);
-        break;
-      }
-      case ir::Param::Kind::Cell:
-        S.Cells.insert(P.Name);
-        S.Region[P.Name] = G.arrInit(P.Name, 8);
-        break;
-      }
-    }
-    return S;
+    Rep.TheVerdict = Verdict::Proved;
   }
 
-  TgtState targetEntry() {
-    TgtState T;
-    for (const sep::ArgSpec &A : Spec.Args) {
-      switch (A.TheKind) {
-      case sep::ArgSpec::Kind::Scalar:
-        T.Locals[A.TargetName] = G.sym(A.SourceName);
-        break;
-      case sep::ArgSpec::Kind::ArrayLen:
-        T.Locals[A.TargetName] = G.sym("len_" + A.OfArray);
-        break;
-      case sep::ArgSpec::Kind::ArrayPtr:
-      case sep::ArgSpec::Kind::CellPtr: {
-        TermId P = G.sym("ptr_" + A.SourceName);
-        T.Locals[A.TargetName] = P;
-        PtrRegion[P] = A.SourceName;
-        break;
-      }
-      }
-      T.LocalDef[A.TargetName] = "entry";
-    }
-    for (const auto &[R, W] : RegionWidth) {
-      T.Region[R] = G.arrInit(R, W); // Same node as the source entry.
-      T.RegionDef[R] = "entry";
-    }
-    return T;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Source evaluation.
-  //===--------------------------------------------------------------------===//
-
-  TermId evalSrcExpr(const ir::Expr &E, const SrcState &S) {
-    switch (E.kind()) {
-    case ir::Expr::Kind::Const:
-      return G.constant(cast<ir::Const>(&E)->value().scalar());
-    case ir::Expr::Kind::VarRef: {
-      const std::string &N = cast<ir::VarRef>(&E)->name();
-      auto It = S.Scal.find(N);
-      if (It == S.Scal.end())
-        inconclusive("model references '" + N +
-                     "' where no scalar value is tracked");
-      return It->second;
-    }
-    case ir::Expr::Kind::Bin: {
-      const auto *B = cast<ir::Bin>(&E);
-      TermId L = evalSrcExpr(*B->lhs(), S);
-      TermId R = evalSrcExpr(*B->rhs(), S);
-      return G.bin(lowerOp(B->op()), L, R);
-    }
-    case ir::Expr::Kind::Select: {
-      const auto *Sel = cast<ir::Select>(&E);
-      TermId C = evalSrcExpr(*Sel->cond(), S);
-      TermId T = evalSrcExpr(*Sel->thenExpr(), S);
-      TermId F = evalSrcExpr(*Sel->elseExpr(), S);
-      return G.select(C, T, F);
-    }
-    case ir::Expr::Kind::Cast: {
-      const auto *C = cast<ir::Cast>(&E);
-      TermId Op = evalSrcExpr(*C->operand(), S);
-      switch (C->castKind()) {
-      case ir::CastKind::ByteToWord:
-      case ir::CastKind::BoolToWord:
-        return Op; // Zero-extension is the identity on word terms.
-      case ir::CastKind::WordToByte:
-        return G.bin(bedrock::BinOp::And, Op, G.constant(0xff));
-      }
-      inconclusive("unknown cast");
-    }
-    case ir::Expr::Kind::ArrayGet: {
-      const auto *AG = cast<ir::ArrayGet>(&E);
-      auto It = S.Arr.find(AG->array());
-      if (It == S.Arr.end())
-        inconclusive("model reads array '" + AG->array() +
-                     "' which is not tracked");
-      TermId Idx = evalSrcExpr(*AG->index(), S);
-      return G.elt(S.Region.at(It->second.Region), Idx);
-    }
-    case ir::Expr::Kind::TableGet: {
-      const auto *TG = cast<ir::TableGet>(&E);
-      const ir::TableDef *D = Src.findTable(TG->table());
-      if (!D)
-        inconclusive("model reads unknown table '" + TG->table() + "'");
-      TermId Idx = evalSrcExpr(*TG->index(), S);
-      return G.tableElt(D->Name, ir::eltSize(D->Elt), tableMax(D->Elements),
-                        Idx);
-    }
-    }
-    inconclusive("unknown expression kind");
-  }
-
-  uint64_t srcValueHash(const SrcState &S, const std::string &Name) const {
-    auto SIt = S.Scal.find(Name);
-    if (SIt != S.Scal.end())
-      return G.hashOf(SIt->second);
-    auto AIt = S.Arr.find(Name);
-    if (AIt != S.Arr.end())
-      return G.hashOf(S.Region.at(AIt->second.Region));
-    if (S.Cells.count(Name))
-      return G.hashOf(S.Region.at(Name));
-    return 0;
-  }
-
-  void recordBinding(const ir::Binding &B, const SrcState &S,
-                     const std::string &Path) {
-    uint64_t H = 0xcbf29ce484222325ull;
-    for (const std::string &N : B.Names) {
-      H = hash::fnv1a64Word(srcValueHash(S, N), H);
-      LastSrcBind[N] = Path + ": let " + joinNames(B.Names) + " := " +
-                       clip(B.Bound->str());
-    }
-    Rep.Bindings.push_back({Path, joinNames(B.Names), H});
-  }
-
-  void evalSrcProg(const ir::Prog &P, SrcState &S, const std::string &Prefix) {
-    const std::vector<ir::Binding> &Bs = P.bindings();
-    for (size_t I = 0; I < Bs.size(); ++I)
-      evalSrcBinding(Bs[I], S, Prefix + std::to_string(I));
-  }
-
-  void evalSrcBinding(const ir::Binding &B, SrcState &S,
-                      const std::string &Path) {
-    using K = ir::BoundForm::Kind;
-    switch (B.Bound->kind()) {
-    case K::PureVal: {
-      if (B.Names.size() != 1)
-        inconclusive("multi-name pure binding");
-      S.Scal[B.Names[0]] =
-          evalSrcExpr(*cast<ir::PureVal>(B.Bound.get())->expr(), S);
-      break;
-    }
-    case K::ArrayPut: {
-      const auto *AP = cast<ir::ArrayPut>(B.Bound.get());
-      if (B.Names.size() != 1 || B.Names[0] != AP->array())
-        inconclusive("array put must rebind the array's own name");
-      auto It = S.Arr.find(AP->array());
-      if (It == S.Arr.end())
-        inconclusive("put into untracked array '" + AP->array() + "'");
-      TermId Idx = evalSrcExpr(*AP->index(), S);
-      TermId Val = evalSrcExpr(*AP->val(), S);
-      const std::string &R = It->second.Region;
-      S.Region[R] = G.arrStore(S.Region.at(R), Idx, Val);
-      break;
-    }
-    case K::CellGet: {
-      const auto *CG = cast<ir::CellGet>(B.Bound.get());
-      if (!S.Cells.count(CG->cell()))
-        inconclusive("get from untracked cell '" + CG->cell() + "'");
-      S.Scal[B.Names[0]] = G.elt(S.Region.at(CG->cell()), G.constant(0));
-      break;
-    }
-    case K::CellPut: {
-      const auto *CP = cast<ir::CellPut>(B.Bound.get());
-      if (B.Names.size() != 1 || B.Names[0] != CP->cell() ||
-          !S.Cells.count(CP->cell()))
-        inconclusive("cell put must rebind the cell's own name");
-      TermId V = evalSrcExpr(*CP->expr(), S);
-      S.Region[CP->cell()] =
-          G.arrStore(S.Region.at(CP->cell()), G.constant(0), V);
-      break;
-    }
-    case K::CellIncr: {
-      const auto *CI = cast<ir::CellIncr>(B.Bound.get());
-      if (B.Names.size() != 1 || B.Names[0] != CI->cell() ||
-          !S.Cells.count(CI->cell()))
-        inconclusive("cell incr must rebind the cell's own name");
-      TermId Cur = G.elt(S.Region.at(CI->cell()), G.constant(0));
-      TermId V = G.bin(bedrock::BinOp::Add, Cur, evalSrcExpr(*CI->expr(), S));
-      S.Region[CI->cell()] =
-          G.arrStore(S.Region.at(CI->cell()), G.constant(0), V);
-      break;
-    }
-    case K::IfBound:
-      evalSrcIf(B, S, Path);
-      break;
-    case K::ListMap:
-    case K::ListFold:
-    case K::FoldBreak:
-    case K::RangeFold:
-    case K::WhileComb:
-      evalSrcLoop(B, S, Path);
-      break;
-    default:
-      inconclusive("binding form '" + clip(B.Bound->str(), 48) +
-                   "' is outside the statically validated fragment");
-    }
-    recordBinding(B, S, Path);
-  }
-
-  void evalSrcIf(const ir::Binding &B, SrcState &S, const std::string &Path) {
-    const auto *IB = cast<ir::IfBound>(B.Bound.get());
-    TermId C = evalSrcExpr(*IB->cond(), S);
-    SrcState TS = S, ES = S;
-    evalSrcProg(*IB->thenProg(), TS, Path + ".then.");
-    evalSrcProg(*IB->elseProg(), ES, Path + ".else.");
-    const std::vector<std::string> &TR = IB->thenProg()->returns();
-    const std::vector<std::string> &ER = IB->elseProg()->returns();
-    if (TR.size() != B.Names.size() || ER.size() != B.Names.size())
-      inconclusive("conditional binding arity mismatch");
-    for (auto &[R, Contents] : S.Region)
-      Contents = G.arrSelect(C, TS.Region.at(R), ES.Region.at(R));
-    for (size_t J = 0; J < B.Names.size(); ++J) {
-      bool ThenArr = TS.Arr.count(TR[J]) != 0;
-      bool ElseArr = ES.Arr.count(ER[J]) != 0;
-      if (ThenArr != ElseArr)
-        inconclusive("conditional branches return values of different kinds");
-      if (ThenArr) {
-        const SrcArr &A1 = TS.Arr.at(TR[J]);
-        const SrcArr &A2 = ES.Arr.at(ER[J]);
-        if (A1.Region != A2.Region)
-          inconclusive("conditional branches return different arrays");
-        S.Arr[B.Names[J]] = A1;
-        continue;
-      }
-      auto TI = TS.Scal.find(TR[J]);
-      auto EI = ES.Scal.find(ER[J]);
-      if (TI == TS.Scal.end() || EI == ES.Scal.end())
-        inconclusive("conditional branch result '" + TR[J] +
-                     "' is not a tracked scalar");
-      S.Scal[B.Names[J]] = G.select(C, TI->second, EI->second);
-    }
-  }
-
-  /// Resolves the carried structure of a loop binding and interns its Fold.
-  void evalSrcLoop(const ir::Binding &B, SrcState &S, const std::string &Path) {
-    unsigned K = unsigned(SrcLoops.size());
-    FoldInfo FI;
-    TermId F = NoTerm;
-
-    auto Carried = [&](unsigned Pos) { return G.sym(canonSym(K, Pos)); };
-
-    switch (B.Bound->kind()) {
-    case ir::BoundForm::Kind::ListMap: {
-      const auto *M = cast<ir::ListMap>(B.Bound.get());
-      if (B.Names.size() != 1 || B.Names[0] != M->array())
-        inconclusive("map must rebind its array in place");
-      auto It = S.Arr.find(M->array());
-      if (It == S.Arr.end())
-        inconclusive("map over untracked array '" + M->array() + "'");
-      const std::string R = It->second.Region;
-      unsigned W = It->second.EltBytes;
-      TermId Entry = S.Region.at(R);
-      TermId I = Carried(0);
-      TermId Hav = G.arrHavoc(canonRegionSym(K, R), W);
-      SrcState BS = S;
-      BS.Region[R] = Hav;
-      BS.Scal[M->param()] = G.elt(Hav, I);
-      TermId V = evalSrcExpr(*M->body(), BS);
-      FI.NumCarried = 1;
-      FI.Guard = G.bin(bedrock::BinOp::LtU, I, It->second.Len);
-      FI.Inits = {G.constant(0)};
-      FI.Nexts = {G.bin(bedrock::BinOp::Add, I, G.constant(1))};
-      FI.Regions = {{R, Entry, G.arrStore(Hav, I, V)}};
-      F = G.fold(FI);
-      S.Region[R] = G.foldOutArr(F, R);
-      break;
-    }
-    case ir::BoundForm::Kind::ListFold:
-    case ir::BoundForm::Kind::FoldBreak: {
-      // Shared shape: index + accumulator; fold_break adds a guard clause.
-      std::string ArrName, AccP, EltP;
-      const ir::Expr *InitE, *BodyE, *BreakE = nullptr;
-      if (const auto *FL = dyn_cast<ir::ListFold>(B.Bound.get())) {
-        ArrName = FL->array();
-        AccP = FL->accParam();
-        EltP = FL->eltParam();
-        InitE = FL->init();
-        BodyE = FL->body();
-      } else {
-        const auto *FB = cast<ir::FoldBreak>(B.Bound.get());
-        ArrName = FB->array();
-        AccP = FB->accParam();
-        EltP = FB->eltParam();
-        InitE = FB->init();
-        BodyE = FB->body();
-        BreakE = FB->breakCond();
-      }
-      if (B.Names.size() != 1)
-        inconclusive("fold must bind exactly one name");
-      auto It = S.Arr.find(ArrName);
-      if (It == S.Arr.end())
-        inconclusive("fold over untracked array '" + ArrName + "'");
-      const std::string R = It->second.Region;
-      TermId I = Carried(0), A = Carried(1);
-      TermId InitT = evalSrcExpr(*InitE, S);
-      SrcState BS = S;
-      BS.Scal[AccP] = A;
-      BS.Scal[EltP] = G.elt(S.Region.at(R), I);
-      TermId Next = evalSrcExpr(*BodyE, BS);
-      FI.NumCarried = 2;
-      FI.Guard = G.bin(bedrock::BinOp::LtU, I, It->second.Len);
-      if (BreakE) {
-        // The exit predicate sees only the accumulator (compiled into the
-        // guard, where the element local is not yet loaded).
-        SrcState GS = S;
-        GS.Scal[AccP] = A;
-        TermId Brk = evalSrcExpr(*BreakE, GS);
-        FI.Guard = G.bin(bedrock::BinOp::And, FI.Guard,
-                         G.bin(bedrock::BinOp::Eq, Brk, G.constant(0)));
-      }
-      FI.Inits = {G.constant(0), InitT};
-      FI.Nexts = {G.bin(bedrock::BinOp::Add, I, G.constant(1)), Next};
-      F = G.fold(FI);
-      S.Scal[B.Names[0]] = G.foldOut(F, 1);
-      break;
-    }
-    case ir::BoundForm::Kind::RangeFold:
-    case ir::BoundForm::Kind::WhileComb: {
-      const auto *RF = dyn_cast<ir::RangeFold>(B.Bound.get());
-      const auto *WC = dyn_cast<ir::WhileComb>(B.Bound.get());
-      const std::vector<ir::AccInit> &Accs = RF ? RF->accs() : WC->accs();
-      const ir::Prog &Body = RF ? *RF->body() : *WC->body();
-      if (progHasLoop(Body))
-        inconclusive("nested loops are not summarized");
-      if (Accs.size() != B.Names.size())
-        inconclusive("loop accumulator arity mismatch");
-      for (size_t J = 0; J < Accs.size(); ++J)
-        if (Accs[J].Name != B.Names[J])
-          inconclusive("loop accumulators must be bound under their names");
-
-      // Classify accumulators: arrays thread through regions, scalars are
-      // carried positions. The index (ranged_for only) is carried first.
-      struct ScalAcc {
-        std::string Name;
-        unsigned Pos;
-        TermId Init;
-      };
-      std::vector<ScalAcc> Scals;
-      std::vector<std::string> ArrAccs;
-      unsigned NextPos = RF ? 1 : 0;
-      for (const ir::AccInit &A : Accs) {
-        const auto *V = dyn_cast<ir::VarRef>(A.Init.get());
-        if (V && S.Arr.count(V->name())) {
-          if (V->name() != A.Name)
-            inconclusive("array accumulator must be initialized by itself");
-          ArrAccs.push_back(A.Name);
-          continue;
-        }
-        Scals.push_back({A.Name, NextPos++, evalSrcExpr(*A.Init, S)});
-      }
-
-      std::set<std::string> Writes;
-      collectProgWrites(Body, Writes);
-      std::map<std::string, TermId> Entries;
-
-      SrcState BS = S;
-      TermId I = NoTerm;
-      TermId Lo = NoTerm, Hi = NoTerm;
-      if (RF) {
-        Lo = evalSrcExpr(*RF->lo(), S);
-        Hi = evalSrcExpr(*RF->hi(), S);
-        I = Carried(0);
-        BS.Scal[RF->idxName()] = I;
-      }
-      for (const ScalAcc &A : Scals)
-        BS.Scal[A.Name] = Carried(A.Pos);
-      for (const std::string &WName : Writes) {
-        std::string R;
-        if (auto It = S.Arr.find(WName); It != S.Arr.end())
-          R = It->second.Region;
-        else if (S.Cells.count(WName))
-          R = WName;
-        else
-          inconclusive("loop body writes untracked '" + WName + "'");
-        Entries[R] = S.Region.at(R);
-        BS.Region[R] = G.arrHavoc(canonRegionSym(K, R), RegionWidth.at(R));
-      }
-
-      // The guard is evaluated against the havocked iteration state, the
-      // same state the target's summary evaluates its While condition in.
-      if (RF)
-        FI.Guard = G.bin(bedrock::BinOp::LtU, I, Hi);
-      else
-        FI.Guard = evalSrcExpr(*WC->cond(), BS);
-
-      evalSrcProg(Body, BS, Path + ".body.");
-      const std::vector<std::string> &Rets = Body.returns();
-      if (Rets.size() != Accs.size())
-        inconclusive("loop body return arity mismatch");
-
-      FI.NumCarried = (RF ? 1 : 0) + unsigned(Scals.size());
-      FI.Inits.resize(FI.NumCarried);
-      FI.Nexts.resize(FI.NumCarried);
-      if (RF) {
-        FI.Inits[0] = Lo;
-        FI.Nexts[0] = G.bin(bedrock::BinOp::Add, I, G.constant(1));
-      }
-      for (const ScalAcc &A : Scals) {
-        size_t AccIdx = 0;
-        for (; AccIdx < Accs.size(); ++AccIdx)
-          if (Accs[AccIdx].Name == A.Name)
-            break;
-        auto It = BS.Scal.find(Rets[AccIdx]);
-        if (It == BS.Scal.end())
-          inconclusive("loop body result '" + Rets[AccIdx] +
-                       "' is not a tracked scalar");
-        FI.Inits[A.Pos] = A.Init;
-        FI.Nexts[A.Pos] = It->second;
-      }
-      for (const std::string &AName : ArrAccs) {
-        size_t AccIdx = 0;
-        for (; AccIdx < Accs.size(); ++AccIdx)
-          if (Accs[AccIdx].Name == AName)
-            break;
-        if (Rets[AccIdx] != AName)
-          inconclusive("array accumulator must be returned under its name");
-      }
-      for (const auto &[R, Entry] : Entries)
-        FI.Regions.push_back({R, Entry, BS.Region.at(R)});
-
-      F = G.fold(FI);
-      for (const ScalAcc &A : Scals)
-        S.Scal[A.Name] = G.foldOut(F, A.Pos);
-      for (const auto &[R, Entry] : Entries)
-        S.Region[R] = G.foldOutArr(F, R);
-      break;
-    }
-    default:
-      inconclusive("not a loop binding");
-    }
-
-    SrcLoops.push_back({F, joinNames(B.Names), Path});
-    LoopRecord LR;
-    LR.Ordinal = K;
-    LR.Binding = joinNames(B.Names);
-    LR.Path = Path;
-    LR.FoldHash = G.hashOf(F);
-    LR.Carried = FI.NumCarried;
-    LR.Regions = unsigned(FI.Regions.size());
-    Rep.Loops.push_back(std::move(LR));
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Target execution.
-  //===--------------------------------------------------------------------===//
-
-  TermId evalTgtExpr(const bedrock::Expr &E, const TgtState &T) {
-    switch (E.kind()) {
-    case bedrock::Expr::Kind::Literal:
-      return G.constant(cast<bedrock::Literal>(&E)->value());
-    case bedrock::Expr::Kind::Var: {
-      const std::string &N = cast<bedrock::Var>(&E)->name();
-      auto It = T.Locals.find(N);
-      if (It == T.Locals.end())
-        inconclusive("target reads local '" + N + "' with no tracked value");
-      return It->second;
-    }
-    case bedrock::Expr::Kind::Bin: {
-      const auto *B = cast<bedrock::Bin>(&E);
-      TermId L = evalTgtExpr(*B->lhs(), T);
-      TermId R = evalTgtExpr(*B->rhs(), T);
-      return G.bin(B->op(), L, R);
-    }
-    case bedrock::Expr::Kind::Load: {
-      const auto *L = cast<bedrock::Load>(&E);
-      TermId Addr = evalTgtExpr(*L->addr(), T);
-      auto [R, Idx] = resolveAddr(Addr, bedrock::sizeBytes(L->size()));
-      return G.elt(T.Region.at(R), Idx);
-    }
-    case bedrock::Expr::Kind::TableGet: {
-      const auto *TG = cast<bedrock::TableGet>(&E);
-      const ir::TableDef *D = Src.findTable(TG->table());
-      if (!D) // checkTables already rejected unknown tables.
-        refute("table read from unknown table '" + TG->table() + "'");
-      if (bedrock::sizeBytes(TG->size()) != ir::eltSize(D->Elt))
-        refute("table read width differs from the model table");
-      TermId Idx = evalTgtExpr(*TG->index(), T);
-      return G.tableElt(D->Name, ir::eltSize(D->Elt), tableMax(D->Elements),
-                        Idx);
-    }
-    }
-    inconclusive("unknown target expression");
-  }
-
-  /// Decomposes a byte address into (region, element index): the affine view
-  /// must contain exactly one region pointer with coefficient 1, and the
-  /// remaining offset must be an exact multiple of the element width.
-  std::pair<std::string, TermId> resolveAddr(TermId Addr, unsigned Bytes) {
-    AffineView V = G.affine(Addr);
-    TermId PtrAtom = NoTerm;
-    std::string Reg;
-    for (const auto &[Atom, C] : V.Coeffs) {
-      auto It = PtrRegion.find(Atom);
-      if (It == PtrRegion.end())
-        continue;
-      if (PtrAtom != NoTerm)
-        inconclusive("address combines two region pointers");
-      if (C != 1)
-        inconclusive("address scales a region pointer");
-      PtrAtom = Atom;
-      Reg = It->second;
-    }
-    if (PtrAtom == NoTerm)
-      inconclusive("memory access with no resolvable region pointer");
-    unsigned W = RegionWidth.at(Reg);
-    if (W != Bytes)
-      inconclusive("access width differs from region '" + Reg +
-                   "' element width");
-    AffineView IdxV;
-    for (const auto &[Atom, C] : V.Coeffs) {
-      if (Atom == PtrAtom)
-        continue;
-      if (int64_t(C) % int64_t(W) != 0)
-        inconclusive("address offset is not element-aligned");
-      IdxV.Coeffs[Atom] = uint64_t(int64_t(C) / int64_t(W));
-    }
-    if (int64_t(V.K) % int64_t(W) != 0)
-      inconclusive("address constant is not element-aligned");
-    IdxV.K = uint64_t(int64_t(V.K) / int64_t(W));
-    return {Reg, G.fromAffine(IdxV)};
-  }
-
-  static void flatten(const bedrock::Cmd *C,
-                      std::vector<const bedrock::Cmd *> &Out) {
-    if (const auto *S = dyn_cast<bedrock::Seq>(C)) {
-      flatten(S->first(), Out);
-      flatten(S->second(), Out);
-      return;
-    }
-    if (isa<bedrock::Skip>(C))
-      return;
-    Out.push_back(C);
-  }
-
-  void execBlock(const bedrock::Cmd *C, TgtState &T, const std::string &Path) {
-    std::vector<const bedrock::Cmd *> Stmts;
-    flatten(C, Stmts);
-    for (size_t I = 0; I < Stmts.size(); ++I)
-      execStmt(*Stmts[I], T, Path + "." + std::to_string(I));
-  }
-
-  void execStmt(const bedrock::Cmd &C, TgtState &T, const std::string &Path) {
-    switch (C.kind()) {
-    case bedrock::Cmd::Kind::Skip:
-      return;
-    case bedrock::Cmd::Kind::Set: {
-      const auto *S = cast<bedrock::Set>(&C);
-      T.Locals[S->name()] = evalTgtExpr(*S->value(), T);
-      T.LocalDef[S->name()] = Path;
-      return;
-    }
-    case bedrock::Cmd::Kind::Unset: {
-      const auto *U = cast<bedrock::Unset>(&C);
-      T.Locals.erase(U->name());
-      T.LocalDef.erase(U->name());
-      return;
-    }
-    case bedrock::Cmd::Kind::Store: {
-      const auto *S = cast<bedrock::Store>(&C);
-      TermId Addr = evalTgtExpr(*S->addr(), T);
-      TermId Val = evalTgtExpr(*S->value(), T);
-      auto [R, Idx] = resolveAddr(Addr, bedrock::sizeBytes(S->size()));
-      T.Region[R] = G.arrStore(T.Region.at(R), Idx, Val);
-      T.RegionDef[R] = Path;
-      if (CurStores)
-        CurStores->insert(R);
-      return;
-    }
-    case bedrock::Cmd::Kind::If: {
-      const auto *I = cast<bedrock::If>(&C);
-      TermId Cond = evalTgtExpr(*I->cond(), T);
-      TgtState A = T, B = T;
-      execBlock(I->thenCmd(), A, Path + ".then");
-      execBlock(I->elseCmd(), B, Path + ".else");
-      joinStates(Cond, T, A, B, Path);
-      return;
-    }
-    case bedrock::Cmd::Kind::While:
-      matchLoop(*cast<bedrock::While>(&C), T, Path);
-      return;
-    case bedrock::Cmd::Kind::Seq:
-      execBlock(&C, T, Path); // Flattened normally; defensive.
-      return;
-    case bedrock::Cmd::Kind::Call:
-      inconclusive("target calls '" + cast<bedrock::Call>(&C)->callee() +
-                   "'; calls are not validated statically");
-    case bedrock::Cmd::Kind::Stackalloc:
-      inconclusive("stackalloc is outside the validated fragment");
-    case bedrock::Cmd::Kind::Interact:
-      inconclusive("environment interaction is outside the validated fragment");
-    }
-  }
-
-  void joinStates(TermId Cond, TgtState &T, const TgtState &A,
-                  const TgtState &B, const std::string &Path) {
-    std::map<std::string, TermId> L;
-    std::map<std::string, std::string> LD;
-    for (const auto &[N, VA] : A.Locals) {
-      auto It = B.Locals.find(N);
-      if (It == B.Locals.end())
-        continue; // Branch-local: dead after the join.
-      L[N] = VA == It->second ? VA : G.select(Cond, VA, It->second);
-      if (VA == It->second) {
-        auto DIt = A.LocalDef.find(N);
-        LD[N] = DIt != A.LocalDef.end() ? DIt->second : Path;
-      } else {
-        LD[N] = Path;
-      }
-    }
-    T.Locals = std::move(L);
-    T.LocalDef = std::move(LD);
-    for (auto &[R, Contents] : T.Region) {
-      TermId VA = A.Region.at(R), VB = B.Region.at(R);
-      if (VA == VB) {
-        Contents = VA;
-        T.RegionDef[R] = A.RegionDef.at(R);
-      } else {
-        Contents = G.arrSelect(Cond, VA, VB);
-        T.RegionDef[R] = Path;
-      }
-    }
-  }
-
-  /// Rejects body statements the summarizer cannot model and collects the
-  /// assigned locals.
-  void scanLoopBody(const bedrock::Cmd *C, std::set<std::string> &Assigned) {
-    switch (C->kind()) {
-    case bedrock::Cmd::Kind::Skip:
-    case bedrock::Cmd::Kind::Store:
-      return;
-    case bedrock::Cmd::Kind::Set:
-      Assigned.insert(cast<bedrock::Set>(C)->name());
-      return;
-    case bedrock::Cmd::Kind::Seq: {
-      const auto *S = cast<bedrock::Seq>(C);
-      scanLoopBody(S->first(), Assigned);
-      scanLoopBody(S->second(), Assigned);
-      return;
-    }
-    case bedrock::Cmd::Kind::If: {
-      const auto *I = cast<bedrock::If>(C);
-      scanLoopBody(I->thenCmd(), Assigned);
-      scanLoopBody(I->elseCmd(), Assigned);
-      return;
-    }
-    case bedrock::Cmd::Kind::While:
-      inconclusive("nested target loops are not summarized");
-    case bedrock::Cmd::Kind::Unset:
-      inconclusive("unset inside a loop body");
-    default:
-      inconclusive("unsupported statement inside a loop body");
-    }
-  }
-
-  void matchLoop(const bedrock::While &W, TgtState &T, const std::string &Path) {
-    unsigned K = TgtCursor++;
-    if (K >= SrcLoops.size())
-      refute("target loop at " + Path +
-             " has no corresponding loop in the model");
-    const SrcLoopRec &SL = SrcLoops[K];
-    FoldRef FI = G.foldInfo(SL.Fold);
-
-    std::set<std::string> Assigned;
-    scanLoopBody(W.body(), Assigned);
-
-    // Discovery pass: havoc everything, record which regions the body
-    // stores to (addresses never depend on contents, so the store set is
-    // the same in the precise pass).
-    std::set<std::string> Stored;
-    {
-      TgtState A = T;
-      for (const std::string &V : Assigned)
-        A.Locals[V] = G.sym("%TA" + std::to_string(K) + "." + V);
-      for (auto &[R, Contents] : A.Region)
-        Contents = G.arrHavoc("%TA" + std::to_string(K) + ".R." + R,
-                              RegionWidth.at(R));
-      CurStores = &Stored;
-      execBlock(W.body(), A, Path + ".body");
-      CurStores = nullptr;
-    }
-
-    // Precise pass: havoc only the assigned locals and the stored regions.
-    TgtState B = T;
-    std::map<std::string, TermId> HavocOf;
-    for (const std::string &V : Assigned) {
-      HavocOf[V] = G.sym("%T" + std::to_string(K) + "." + V);
-      B.Locals[V] = HavocOf[V];
-    }
-    std::map<std::string, TermId> RegionHavoc;
-    for (const std::string &R : Stored) {
-      RegionHavoc[R] =
-          G.arrHavoc("%T" + std::to_string(K) + ".R." + R, RegionWidth.at(R));
-      B.Region[R] = RegionHavoc[R];
-    }
-    TermId GuardT = evalTgtExpr(*W.cond(), B);
-    {
-      std::set<std::string> Stored2;
-      CurStores = &Stored2;
-      execBlock(W.body(), B, Path + ".body");
-      CurStores = nullptr;
-      if (Stored2 != Stored)
-        inconclusive("loop store set depends on memory contents");
-    }
-
-    std::set<std::string> SrcRegs;
-    for (unsigned RI = 0, RE = FI.numRegions(); RI < RE; ++RI)
-      SrcRegs.insert(FI.regionName(RI));
-    if (SrcRegs != Stored)
-      refute("loop at " + Path + " writes regions {" + joinSet(Stored) +
-             "} but model binding '" + SL.BindingName + "' (" + SL.Path +
-             ") writes {" + joinSet(SrcRegs) + "}");
-
-    // Renaming skeleton: target region havocs map onto the model's.
-    std::map<TermId, TermId> BaseRen;
-    for (const std::string &R : Stored)
-      BaseRen[RegionHavoc[R]] =
-          G.arrHavoc(canonRegionSym(K, R), RegionWidth.at(R));
-
+  /// The search: a bijection from carried positions to loop variables with
+  /// matching initial values, under which guard, steps, and region updates
+  /// all equal the model's. Any witness is a genuine loop isomorphism (the
+  /// equations verify it), so the first one found wins.
+  std::vector<std::string> pickCarried(const LoopStep &L) override {
     // Loop-carried candidates: assigned locals with a pre-loop value.
     struct Cand {
       std::string Name;
       TermId Init, Next, Havoc;
     };
     std::vector<Cand> Cands;
-    for (const std::string &V : Assigned) {
-      auto InitIt = T.Locals.find(V);
-      auto NextIt = B.Locals.find(V);
-      if (InitIt == T.Locals.end() || NextIt == B.Locals.end())
+    for (const std::string &V : L.Assigned) {
+      auto InitIt = L.Entry.Locals.find(V);
+      auto NextIt = L.Iter.Locals.find(V);
+      if (InitIt == L.Entry.Locals.end() || NextIt == L.Iter.Locals.end())
         continue;
-      Cands.push_back({V, InitIt->second, NextIt->second, HavocOf[V]});
+      Cands.push_back({V, InitIt->second, NextIt->second, L.HavocOf.at(V)});
     }
 
-    // Search for a bijection from carried positions to loop variables with
-    // matching initial values, under which guard, steps, and region
-    // updates all equal the model's. Any witness is a genuine loop
-    // isomorphism (the equations verify it), so the first one found wins.
+    const FoldRef &FI = L.Fold;
     unsigned N = FI.numCarried();
     std::vector<int> Pick(N, -1);
     std::vector<bool> Used(Cands.size(), false);
     std::string FailWhy;
 
     auto CheckAssignment = [&]() -> bool {
-      std::map<TermId, TermId> Ren = BaseRen;
+      std::map<TermId, TermId> Ren = L.RegionRen;
       for (unsigned J = 0; J < N; ++J)
-        Ren[Cands[size_t(Pick[J])].Havoc] = G.sym(canonSym(K, J));
-      if (G.substitute(GuardT, Ren) != FI.guard()) {
-        FailWhy = "the loop guard computes '" + clip(G.str(GuardT)) +
+        Ren[Cands[size_t(Pick[J])].Havoc] = carriedSym(L.K, J);
+      if (G.substitute(L.Guard, Ren) != FI.guard()) {
+        FailWhy = "the loop guard computes '" + clip(G.str(L.Guard)) +
                   "' but the model's is '" + clip(G.str(FI.guard())) + "'";
         return false;
       }
@@ -1095,15 +146,16 @@ private:
       }
       for (unsigned RI = 0, RE = FI.numRegions(); RI < RE; ++RI) {
         const std::string RName = FI.regionName(RI);
-        if (T.Region.at(RName) != FI.regionEntry(RI)) {
+        if (L.Entry.Region.at(RName) != FI.regionEntry(RI)) {
           FailWhy = "region '" + RName + "' enters the loop as '" +
-                    clip(G.str(T.Region.at(RName))) + "' but the model has '" +
+                    clip(G.str(L.Entry.Region.at(RName))) +
+                    "' but the model has '" +
                     clip(G.str(FI.regionEntry(RI))) + "'";
           return false;
         }
-        if (G.substitute(B.Region.at(RName), Ren) != FI.regionNext(RI)) {
+        if (G.substitute(L.Iter.Region.at(RName), Ren) != FI.regionNext(RI)) {
           FailWhy = "region '" + RName + "' is rewritten as '" +
-                    clip(G.str(B.Region.at(RName))) +
+                    clip(G.str(L.Iter.Region.at(RName))) +
                     "' per iteration but the model rewrites it as '" +
                     clip(G.str(FI.regionNext(RI))) + "'";
           return false;
@@ -1138,111 +190,13 @@ private:
     };
 
     if (!Search(0))
-      refute("loop at " + Path + " does not implement model binding '" +
-             SL.BindingName + "' (" + SL.Path + "): " + FailWhy);
+      mismatch("loop at " + L.Path + " does not implement model binding '" +
+               L.Model.Binding + "' (" + L.Model.Path + "): " + FailWhy);
 
-    // Record the witness the search found: this is what turns the verdict
-    // into an independently checkable certificate (cert::Rederive replays
-    // the assignment instead of re-searching).
-    LoopRecord &LR = Rep.Loops[K];
-    LR.WitnessLocals.clear();
+    std::vector<std::string> Picks;
     for (unsigned J = 0; J < N; ++J)
-      LR.WitnessLocals.push_back(Cands[size_t(Pick[J])].Name);
-    LR.WitnessRegions.assign(Stored.begin(), Stored.end());
-    LR.TargetPath = Path;
-
-    // Commit: matched variables become fold projections; the rest of the
-    // assigned locals have unknown post-loop values and are dropped.
-    for (const std::string &V : Assigned) {
-      T.Locals.erase(V);
-      T.LocalDef.erase(V);
-    }
-    for (unsigned J = 0; J < N; ++J) {
-      const Cand &C = Cands[size_t(Pick[J])];
-      T.Locals[C.Name] = G.foldOut(SL.Fold, J);
-      T.LocalDef[C.Name] = Path;
-    }
-    for (const std::string &R : Stored) {
-      T.Region[R] = G.foldOutArr(SL.Fold, R);
-      T.RegionDef[R] = Path;
-    }
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Output comparison.
-  //===--------------------------------------------------------------------===//
-
-  void compareOutputs(const SrcState &SS, const TgtState &TT) {
-    if (TgtCursor < SrcLoops.size())
-      refute("model loop binding '" + SrcLoops[TgtCursor].BindingName + "' (" +
-             SrcLoops[TgtCursor].Path +
-             ") has no corresponding loop in the target");
-    if (Spec.ScalarRets.size() != Fn.Rets.size())
-      refute("target returns " + std::to_string(Fn.Rets.size()) +
-             " words but the ABI promises " +
-             std::to_string(Spec.ScalarRets.size()));
-
-    auto Push = [&](OutputRecord O) {
-      O.Matched = O.SrcHash == O.TgtHash && O.SrcTerm == O.TgtTerm;
-      Rep.Outputs.push_back(std::move(O));
-    };
-
-    for (size_t I = 0; I < Spec.ScalarRets.size(); ++I) {
-      const std::string &SN = Spec.ScalarRets[I];
-      const std::string &TN = Fn.Rets[I];
-      auto SIt = SS.Scal.find(SN);
-      if (SIt == SS.Scal.end())
-        inconclusive("model result '" + SN + "' is not a tracked scalar");
-      auto TIt = TT.Locals.find(TN);
-      if (TIt == TT.Locals.end())
-        refute("target never defines return local '" + TN + "'");
-      OutputRecord O;
-      O.Name = SN;
-      O.Kind = "scalar";
-      O.SrcHash = G.hashOf(SIt->second);
-      O.TgtHash = G.hashOf(TIt->second);
-      O.SrcTerm = G.str(SIt->second);
-      O.TgtTerm = G.str(TIt->second);
-      O.Matched = SIt->second == TIt->second;
-      if (auto BIt = LastSrcBind.find(SN); BIt != LastSrcBind.end())
-        O.SourceBinding = BIt->second;
-      if (auto DIt = TT.LocalDef.find(TN); DIt != TT.LocalDef.end())
-        O.TargetPath = DIt->second;
-      Rep.Outputs.push_back(std::move(O));
-    }
-    (void)Push;
-
-    for (const auto &[R, SrcContents] : SS.Region) {
-      OutputRecord O;
-      O.Name = R;
-      bool InPlaceArr = std::find(Spec.InPlaceArrays.begin(),
-                                  Spec.InPlaceArrays.end(),
-                                  R) != Spec.InPlaceArrays.end();
-      bool InPlaceCell = std::find(Spec.InPlaceCells.begin(),
-                                   Spec.InPlaceCells.end(),
-                                   R) != Spec.InPlaceCells.end();
-      O.Kind = InPlaceArr ? "array" : InPlaceCell ? "cell" : "frame";
-      TermId Tgt = TT.Region.at(R);
-      O.SrcHash = G.hashOf(SrcContents);
-      O.TgtHash = G.hashOf(Tgt);
-      O.SrcTerm = G.str(SrcContents);
-      O.TgtTerm = G.str(Tgt);
-      O.Matched = SrcContents == Tgt;
-      if (auto BIt = LastSrcBind.find(R); BIt != LastSrcBind.end())
-        O.SourceBinding = BIt->second;
-      if (auto DIt = TT.RegionDef.find(R); DIt != TT.RegionDef.end())
-        O.TargetPath = DIt->second;
-      Rep.Outputs.push_back(std::move(O));
-    }
-
-    for (const OutputRecord &O : Rep.Outputs)
-      if (!O.Matched) {
-        Rep.TheVerdict = Verdict::Refuted;
-        Rep.Reason = "output '" + O.Name + "' [" + O.Kind +
-                     "] differs between model and target";
-        return;
-      }
-    Rep.TheVerdict = Verdict::Proved;
+      Picks.push_back(Cands[size_t(Pick[J])].Name);
+    return Picks;
   }
 };
 

@@ -15,7 +15,7 @@
 // agreement.
 //
 // Method: both sides are evaluated into one hash-consed, normalizing term
-// graph (tv/Term.h).
+// graph (tv/Term.h), by the evaluator relc-check shares (tv/SymEval.h).
 //
 //   - The model is symbolically evaluated binding by binding. Loop
 //     combinators (ListArray.map, fold, fold_break, ranged_for, while)
@@ -53,11 +53,7 @@
 #ifndef RELC_TV_TV_H
 #define RELC_TV_TV_H
 
-#include "analysis/Domains.h"
-#include "bedrock/Ast.h"
-#include "ir/Prog.h"
-#include "sep/Spec.h"
-#include "support/Budget.h"
+#include "tv/SymEval.h"
 
 #include <string>
 #include <vector>
@@ -82,33 +78,6 @@ struct OutputRecord {
   std::string SrcTerm, TgtTerm;   ///< Rendered terms (diagnostics).
   std::string SourceBinding;      ///< Last model binding of Name.
   std::string TargetPath;         ///< Last target statement defining it.
-};
-
-/// One source binding's normalized value (the per-binding match trace).
-struct BindingRecord {
-  std::string Path; ///< "2", "4.then.0", ... (binding index path).
-  std::string Name; ///< Bound name(s), comma-joined for multi-binds.
-  uint64_t Hash = 0;
-};
-
-/// One matched loop pair: the model's summary plus the match *witness* the
-/// driver's bijection search found. The witness is what makes the verdict
-/// independently checkable (cert::Rederive): given which target local
-/// implements each carried position, the match equations verify
-/// deterministically, with no search.
-struct LoopRecord {
-  unsigned Ordinal = 0;
-  std::string Binding;    ///< The model binding the loop came from.
-  std::string Path;       ///< Source binding path of the loop.
-  uint64_t FoldHash = 0;  ///< Hash of the shared Fold summary node.
-  unsigned Carried = 0;
-  unsigned Regions = 0;
-  /// WitnessLocals[j] = target local matched to carried position j (filled
-  /// on a successful match; size == Carried). WitnessRegions = the regions
-  /// the target loop stores to. TargetPath = the While statement's path.
-  std::vector<std::string> WitnessLocals;
-  std::vector<std::string> WitnessRegions;
-  std::string TargetPath;
 };
 
 struct TvReport {

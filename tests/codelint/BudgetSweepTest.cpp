@@ -15,7 +15,8 @@
 //
 //  - analysis sets BudgetExhausted, and every error the unbudgeted report
 //    lacks names the budget;
-//  - codelint sets BudgetExhausted and is never Unsafe.
+//  - codelint sets BudgetExhausted and is never Unsafe, and it blames no
+//    loop for a missing step bound that the unbudgeted report finds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,6 +63,9 @@ TEST(BudgetSweepTest, EveryStepLimitEqualsOrDegrades) {
     std::set<std::string> FullDiags;
     for (const analysis::Diagnostic &D : Full.A.Diags)
       FullDiags.insert(D.str());
+    std::set<std::string> FullFindings;
+    for (const codelint::Finding &F : Full.C.Findings)
+      FullFindings.insert(F.str());
 
     for (uint64_t Limit = 1; Limit <= Used + 1; ++Limit) {
       guard::Budget B(/*DeadlineMs=*/0, Limit);
@@ -79,6 +83,15 @@ TEST(BudgetSweepTest, EveryStepLimitEqualsOrDegrades) {
           << "limit " << Limit << "\n" << L;
       EXPECT_NE(Got.C.overall(), codelint::Verdict::Unsafe)
           << "limit " << Limit << "\n" << L;
+      // A loop the full run bounds is not blamed when the budget stopped
+      // the bound search.
+      if (Got.C.BudgetExhausted)
+        for (const codelint::Finding &F : Got.C.Findings) {
+          if (F.Reason == "unknown-step-bound") {
+            EXPECT_TRUE(FullFindings.count(F.str()))
+                << "limit " << Limit << ": " << F.str();
+          }
+        }
       if (Limit == Used + 1) { // One step more than a full run uses.
         EXPECT_FALSE(B.exhausted());
         EXPECT_EQ(A, FullA);

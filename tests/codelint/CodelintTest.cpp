@@ -71,14 +71,23 @@ Report analyzeAs(const std::string &Name, const Function &Fn) {
 //===----------------------------------------------------------------------===//
 
 TEST(CodelintTest, SuiteProvedSafe) {
-  for (const ProgramLint &L : lintSuite()) {
-    ASSERT_TRUE(L.CompileOk) << L.Name << ": " << L.CompileError;
-    EXPECT_EQ(L.R.overall(), Verdict::Safe) << renderLint(L);
-    EXPECT_EQ(L.R.Mem, Verdict::Safe) << renderLint(L);
-    EXPECT_EQ(L.R.Stack, Verdict::Safe) << renderLint(L);
-    EXPECT_EQ(L.R.Steps, Verdict::Safe) << renderLint(L);
-    EXPECT_TRUE(L.R.Findings.empty()) << renderLint(L);
-    EXPECT_GT(L.R.StepBound, 0u) << renderLint(L);
+  // The pipeline with only the codelint layer on, as relc-codelint runs it.
+  std::vector<const programs::ProgramDef *> Suite;
+  for (const programs::ProgramDef &P : programs::allPrograms())
+    Suite.push_back(&P);
+  pipeline::PipelineOptions Opts;
+  Opts.Validate = Opts.Analyze = Opts.Tv = false;
+  for (const pipeline::ProgramOutcome &O :
+       pipeline::certifyPrograms(Suite, Opts)) {
+    ASSERT_TRUE(O.CompileOk) << O.Def->Name << ": " << O.CompileError;
+    const Report &R = O.ClReport;
+    const std::string Shown = "[" + O.Def->Name + "] " + R.str();
+    EXPECT_EQ(R.overall(), Verdict::Safe) << Shown;
+    EXPECT_EQ(R.Mem, Verdict::Safe) << Shown;
+    EXPECT_EQ(R.Stack, Verdict::Safe) << Shown;
+    EXPECT_EQ(R.Steps, Verdict::Safe) << Shown;
+    EXPECT_TRUE(R.Findings.empty()) << Shown;
+    EXPECT_GT(R.StepBound, 0u) << Shown;
   }
 }
 

@@ -38,6 +38,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codelint/Driver.h"
+#include "programs/Programs.h"
+#include "relc/Certify.h"
 #include "support/CommandLine.h"
 
 #include <cstdio>
@@ -48,7 +50,7 @@ using namespace relc;
 
 int main(int argc, char **argv) {
   bool Quiet = false, NoStackm = false;
-  std::vector<const programs::ProgramDef *> Targets;
+  std::vector<std::string> Names;
 
   cl::OptionTable T(
       "relc-codelint",
@@ -63,13 +65,12 @@ int main(int argc, char **argv) {
          "the named (or all) Bedrock2 suite programs");
   T.positional("program",
                "analyze only the named suite programs (default: all)",
-               [&Targets](const std::string &A, std::string *Err) {
-                 const programs::ProgramDef *P = programs::findProgram(A);
-                 if (!P) {
+               [&Names](const std::string &A, std::string *Err) {
+                 if (!programs::findProgram(A)) {
                    *Err = "unknown program '" + A + "'";
                    return false;
                  }
-                 Targets.push_back(P);
+                 Names.push_back(A);
                  return true;
                });
 
@@ -82,16 +83,29 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  std::vector<codelint::ProgramLint> Lints;
-  if (Targets.empty()) {
-    Lints = codelint::lintSuite();
-    if (!NoStackm)
-      for (codelint::ProgramLint &L : codelint::lintStackExamples())
-        Lints.push_back(std::move(L));
-  } else {
-    for (const programs::ProgramDef *P : Targets)
-      Lints.push_back(codelint::lintProgram(*P));
+  // The suite programs go through the certification pipeline with only
+  // the codelint layer on, as relc-lint -code runs them.
+  service::Request Req;
+  Req.Programs = Names; // empty = the whole registered suite
+  Req.Validate = false;
+  Req.Analyze = false;
+  Req.Tv = false;
+  Req.Codelint = true;
+  service::Response Resp = service::certify(Req);
+  if (Resp.Exit == 2) {
+    std::fprintf(stderr, "relc-codelint: %s\n", Resp.UsageError.c_str());
+    return 2;
   }
+
+  std::vector<codelint::ProgramLint> Lints;
+  for (service::ProgramReply &PR : Resp.Programs) {
+    pipeline::ProgramOutcome &O = PR.Outcome;
+    Lints.push_back({O.Def->Name, O.CompileOk, O.CompileError,
+                     std::move(O.ClReport)});
+  }
+  if (Names.empty() && !NoStackm)
+    for (codelint::ProgramLint &L : codelint::lintStackExamples())
+      Lints.push_back(std::move(L));
 
   unsigned NotSafe = 0;
   for (const codelint::ProgramLint &L : Lints) {
