@@ -29,6 +29,11 @@
 //   strings:  raw bytes, no terminators
 //   [-8..)    u64 integrity = FNV-1a over every preceding byte
 //
+// The records region is stated once in Binary.cpp, as a layout over
+// support/Bytes.h: the bounds-checked codec the cache entry and the relcd
+// wire frames share, whose overrun argument DESIGN.md §4.10 makes once.
+// The header is checked by hand, in the order below.
+//
 // Trust story (DESIGN.md §4.10): a mapped image is *untrusted input*. The
 // reader verifies magic, versions, the declared size, and the trailing
 // integrity hash before touching a single record, and every slice read —

@@ -118,13 +118,17 @@ private:
     if (C >= '0' && C <= '9') {
       JValue V;
       V.K = JValue::Kind::Number;
-      uint64_t N = 0;
       size_t Start = Pos;
-      while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9')
-        N = N * 10 + uint64_t(S[Pos++] - '0');
-      if (Pos == Start)
-        return std::nullopt;
-      V.Num = N;
+      for (; Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9'; ++Pos) {
+        uint64_t D = uint64_t(S[Pos] - '0');
+        // A number past uint64_t is malformed, never wrapped.
+        if (V.Num > (UINT64_MAX - D) / 10) {
+          Err = "integer at offset " + std::to_string(Start) +
+                " does not fit in 64 bits";
+          return std::nullopt;
+        }
+        V.Num = V.Num * 10 + D;
+      }
       return V;
     }
     auto Lit = [&](const char *Word, bool Val) -> std::optional<JValue> {
@@ -222,6 +226,15 @@ uint64_t numField(const JValue &Obj, const std::string &Key) {
   return V.Num;
 }
 
+/// A number field stored in an unsigned: a wider value is malformed,
+/// never narrowed.
+unsigned u32Field(const JValue &Obj, const std::string &Key) {
+  uint64_t V = numField(Obj, Key);
+  if (V > UINT32_MAX)
+    bad("field '" + Key + "' does not fit in 32 bits");
+  return unsigned(V);
+}
+
 bool boolField(const JValue &Obj, const std::string &Key) {
   const JValue &V = field(Obj, Key);
   if (V.K != JValue::Kind::Bool)
@@ -264,11 +277,11 @@ void parseTraces(const JValue &Root, Certificate &C) {
     if (L.K != JValue::Kind::Object)
       bad("loop entry is not an object");
     LoopRec R;
-    R.Ordinal = unsigned(numField(L, "ordinal"));
+    R.Ordinal = u32Field(L, "ordinal");
     R.Binding = strField(L, "binding");
     R.FoldHash = hashField(L, "fold_hash");
-    R.Carried = unsigned(numField(L, "carried"));
-    R.Regions = unsigned(numField(L, "regions"));
+    R.Carried = u32Field(L, "carried");
+    R.Regions = u32Field(L, "regions");
     R.Path = strField(L, "path");
     const JValue &W = field(L, "witness");
     if (W.K != JValue::Kind::Object)
@@ -346,7 +359,7 @@ std::optional<Certificate> Reader::parse(const std::string &Text,
       if (Cl.K != JValue::Kind::Object)
         bad("'codelint' is not an object");
       CodelintRec L;
-      L.Version = unsigned(numField(Cl, "version"));
+      L.Version = u32Field(Cl, "version");
       L.Mem = strField(Cl, "mem");
       L.Stack = strField(Cl, "stack");
       L.Steps = strField(Cl, "steps");

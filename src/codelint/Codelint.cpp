@@ -575,34 +575,5 @@ Report analyzeFunction(const Function &Fn, const sep::FnSpec &Spec,
       Fn, analysis::makeAbiInfo(Fn, Spec, Src, Hints), Budget));
 }
 
-Report analyzeStackProgram(const stackm::TProgram &P) {
-  Report R;
-  R.Fn = "stackm";
-  R.Mem = Verdict::Safe; // No memory in language T.
-  uint64_t Depth = 0, MaxDepth = 0;
-  bool Underflow = false;
-  for (size_t I = 0; I < P.size(); ++I) {
-    const stackm::TOp &Op = P[I];
-    if (Op.TheKind == stackm::TOp::Kind::Push) {
-      ++Depth;
-      MaxDepth = std::max(MaxDepth, Depth);
-    } else if (Depth >= 2) {
-      --Depth;
-    } else {
-      // The interpreter's total semantics make this a no-op, but no
-      // well-formed compilation of an expression ever emits it.
-      Underflow = true;
-      R.Findings.push_back({"stack-underflow", "op#" + std::to_string(I),
-                            Op.str() + " with operand depth " +
-                                std::to_string(Depth)});
-    }
-  }
-  R.OperandDepth = MaxDepth;
-  R.Stack = Underflow ? Verdict::Unsafe : Verdict::Safe;
-  R.Steps = Verdict::Safe;
-  R.StepBound = P.size(); // One step per op, exactly.
-  return R;
-}
-
 } // namespace codelint
 } // namespace relc

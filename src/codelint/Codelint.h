@@ -23,7 +23,8 @@
 //   - Stack/locals bound: a static worst-case footprint — 8 bytes per
 //     distinct local plus the worst lexical nesting of stackalloc scratch.
 //     Self-recursion is rejected as unbounded; for stackm programs the
-//     analysis instead bounds the maximum operand-stack depth.
+//     driver's analyzeStackProgram (Driver.h) instead bounds the maximum
+//     operand-stack depth.
 //
 //   - Step bound: symbolic per-iteration cost times loop trip-count
 //     intervals, against a small termination-pattern library (counting-up
@@ -45,7 +46,6 @@
 
 #include "analysis/TargetFacts.h"
 #include "bedrock/Ast.h"
-#include "stackm/StackMachine.h"
 
 #include <cstdint>
 #include <optional>
@@ -126,11 +126,6 @@ Report analyzeFunction(const bedrock::Function &Fn, const sep::FnSpec &Spec,
                        const ir::SourceFn &Src,
                        const analysis::EntryFactList &Hints = {},
                        const guard::Budget *Budget = nullptr);
-
-/// Analyzes a stackm program: maximum operand-stack depth (an underflowing
-/// pop is a defect even though the interpreter's total semantics make it a
-/// no-op), plus the exact step count. No memory, so Mem is trivially Safe.
-Report analyzeStackProgram(const stackm::TProgram &P);
 
 } // namespace codelint
 } // namespace relc

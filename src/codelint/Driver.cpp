@@ -7,8 +7,39 @@
 
 #include "codelint/Driver.h"
 
+#include <algorithm>
+
 namespace relc {
 namespace codelint {
+
+Report analyzeStackProgram(const stackm::TProgram &P) {
+  Report R;
+  R.Fn = "stackm";
+  R.Mem = Verdict::Safe; // No memory in language T.
+  uint64_t Depth = 0, MaxDepth = 0;
+  bool Underflow = false;
+  for (size_t I = 0; I < P.size(); ++I) {
+    const stackm::TOp &Op = P[I];
+    if (Op.TheKind == stackm::TOp::Kind::Push) {
+      ++Depth;
+      MaxDepth = std::max(MaxDepth, Depth);
+    } else if (Depth >= 2) {
+      --Depth;
+    } else {
+      // The interpreter's total semantics make this a no-op, but no
+      // well-formed compilation of an expression ever emits it.
+      Underflow = true;
+      R.Findings.push_back({"stack-underflow", "op#" + std::to_string(I),
+                            Op.str() + " with operand depth " +
+                                std::to_string(Depth)});
+    }
+  }
+  R.OperandDepth = MaxDepth;
+  R.Stack = Underflow ? Verdict::Unsafe : Verdict::Safe;
+  R.Steps = Verdict::Safe;
+  R.StepBound = P.size(); // One step per op, exactly.
+  return R;
+}
 
 std::vector<ProgramLint> lintStackExamples() {
   using namespace stackm;

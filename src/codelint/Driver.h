@@ -6,16 +6,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The analyzer *driver* for what the certification pipeline does not
-// cover: the §2 stackm examples, compiled and analyzed here, plus the
-// rendering relc-codelint prints for every outcome. The Bedrock2 suite
-// programs run through the pipeline with the codelint layer on
-// (pipeline::certifyPrograms, ProgramOutcome::ClReport).
+// cover: the stackm analysis and the §2 stackm examples, compiled and
+// analyzed here, plus the rendering relc-codelint prints for every
+// outcome. The Bedrock2 suite programs run through the pipeline with the
+// codelint layer on (pipeline::certifyPrograms, ProgramOutcome::ClReport).
 //
 // Deliberately a separate library from the core (relc_codelint vs
 // relc_codelint_core): the certificate checker re-derives codelint sections
 // through the core alone, and CI asserts with nm that no driver symbol
-// (codelint::lintStackExamples) leaks into relc-check — the same
-// independence story the TV driver has.
+// (codelint::lintStackExamples, or any stackm:: symbol) leaks into
+// relc-check — the same independence story the TV driver has.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,7 @@
 #define RELC_CODELINT_DRIVER_H
 
 #include "codelint/Codelint.h"
+#include "stackm/StackMachine.h"
 
 #include <string>
 #include <vector>
@@ -37,6 +38,11 @@ struct ProgramLint {
   std::string CompileError;
   Report R;
 };
+
+/// Analyzes a stackm program: maximum operand-stack depth (an underflowing
+/// pop is a defect even though the interpreter's total semantics make it a
+/// no-op), plus the exact step count. No memory, so Mem is trivially Safe.
+Report analyzeStackProgram(const stackm::TProgram &P);
 
 /// Lints the §2 stackm examples: the traditional compiler's output and the
 /// relational compiler's (base rules + the Mul/ConstFold extensions), so

@@ -7,6 +7,7 @@
 
 #include "pipeline/CertCache.h"
 
+#include "support/Bytes.h"
 #include "support/Fault.h"
 #include "support/Hash.h"
 
@@ -26,7 +27,6 @@
 namespace relc {
 namespace pipeline {
 
-using hash::fnv1a64;
 using hash::hex16;
 
 namespace {
@@ -38,71 +38,30 @@ namespace {
 constexpr char CacheBinMagic[8] = {'R', 'E', 'L', 'C', 'C', 'A', 'C', 'H'};
 constexpr uint32_t CacheBinVersion = 1;
 
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(char(uint8_t(V >> (8 * I))));
+/// Every field after the version, in order: the one statement of the
+/// entry layout, run by a bytes::Writer to encode and by a bytes::Reader
+/// to decode.
+template <class Dir, class Key, class Entry>
+void fields(Dir &IO, Key &K, Entry &E) {
+  IO.u64(K.ModelHash);
+  IO.u64(K.SpecHash);
+  IO.u64(K.CodeHash);
+  IO.u64(E.OptsHash);
+  IO.str64(E.Program);
+  IO.flag(E.ReplayOk);
+  IO.flag(E.AnalysisOk);
+  IO.u64(E.AnalysisWarnings);
+  IO.str64(E.AnalysisDiags);
+  IO.flag(E.TvRan);
+  IO.str64(E.TvVerdict);
+  IO.u64(E.TvLoops);
+  IO.u64(E.TvTerms);
+  IO.str64(E.TvCertificate);
+  IO.str64(E.TvCertBin);
+  IO.flag(E.CodelintRan);
+  IO.str64(E.CodelintVerdict);
+  IO.flag(E.DifferentialOk);
 }
-
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(char(uint8_t(V >> (8 * I))));
-}
-
-void putStr(std::string &Out, const std::string &S) {
-  putU64(Out, S.size());
-  Out += S;
-}
-
-/// Bounds-checked forward reader over a binary cache image. Any
-/// out-of-range length flips Failed and pins the cursor; callers check
-/// once at the end instead of after every field.
-struct BinCursor {
-  const char *Base;
-  size_t Len, At = 0;
-  bool Failed = false;
-
-  explicit BinCursor(std::string_view Image)
-      : Base(Image.data()), Len(Image.size()) {}
-
-  const char *take(size_t N) {
-    if (Failed || N > Len - At) { // At <= Len always, so no overflow.
-      Failed = true;
-      return nullptr;
-    }
-    const char *P = Base + At;
-    At += N;
-    return P;
-  }
-  uint32_t u32() {
-    const char *P = take(4);
-    uint32_t V = 0;
-    if (P)
-      for (int I = 0; I < 4; ++I)
-        V |= uint32_t(uint8_t(P[I])) << (8 * I);
-    return V;
-  }
-  uint64_t u64() {
-    const char *P = take(8);
-    uint64_t V = 0;
-    if (P)
-      for (int I = 0; I < 8; ++I)
-        V |= uint64_t(uint8_t(P[I])) << (8 * I);
-    return V;
-  }
-  bool u8() {
-    const char *P = take(1);
-    return P && *P == 1;
-  }
-  std::string str() {
-    uint64_t N = u64();
-    if (!Failed && N > Len - At) {
-      Failed = true;
-      return std::string();
-    }
-    const char *P = take(size_t(N));
-    return P ? std::string(P, size_t(N)) : std::string();
-  }
-};
 
 /// Reads \p Path in one pre-sized gulp — the warm path avoids the
 /// stringstream growth dance (and its allocations).
@@ -151,72 +110,35 @@ std::string CertCache::serializeBin(const CertKey &Key, const CertEntry &E) {
   Out.reserve(128 + E.AnalysisDiags.size() + E.TvCertificate.size() +
               E.TvCertBin.size());
   Out.append(CacheBinMagic, sizeof(CacheBinMagic));
-  putU32(Out, CacheBinVersion);
-  putU64(Out, Key.ModelHash);
-  putU64(Out, Key.SpecHash);
-  putU64(Out, Key.CodeHash);
-  putU64(Out, E.OptsHash);
-  putStr(Out, E.Program);
-  Out.push_back(E.ReplayOk ? 1 : 0);
-  Out.push_back(E.AnalysisOk ? 1 : 0);
-  putU64(Out, E.AnalysisWarnings);
-  putStr(Out, E.AnalysisDiags);
-  Out.push_back(E.TvRan ? 1 : 0);
-  putStr(Out, E.TvVerdict);
-  putU64(Out, E.TvLoops);
-  putU64(Out, E.TvTerms);
-  putStr(Out, E.TvCertificate);
-  putStr(Out, E.TvCertBin);
-  Out.push_back(E.CodelintRan ? 1 : 0);
-  putStr(Out, E.CodelintVerdict);
-  Out.push_back(E.DifferentialOk ? 1 : 0);
-  putU64(Out, fnv1a64(Out));
+  bytes::putU32(Out, CacheBinVersion);
+  bytes::Writer W(Out);
+  fields(W, Key, E);
+  bytes::seal(Out);
   return Out;
 }
 
 std::optional<CertEntry> CertCache::deserializeBin(const std::string &Image,
                                                    CertKey *KeyOut) {
-  constexpr size_t MinSize = sizeof(CacheBinMagic) + 4 + 8;
-  if (Image.size() < MinSize)
+  constexpr size_t HeaderSize = sizeof(CacheBinMagic) + 4;
+  constexpr size_t TrailerSize = 8;
+  if (Image.size() < HeaderSize + TrailerSize)
     return std::nullopt;
   if (std::memcmp(Image.data(), CacheBinMagic, sizeof(CacheBinMagic)) != 0)
     return std::nullopt;
   // Integrity first: everything after this is trusted to be the bytes a
   // writer produced, so field decoding can't be confused by corruption —
   // only by a version it doesn't speak, which is checked next.
-  std::string_view Body(Image.data(), Image.size() - 8);
-  uint64_t Stored = 0;
-  for (int I = 0; I < 8; ++I)
-    Stored |= uint64_t(uint8_t(Image[Image.size() - 8 + size_t(I)]))
-              << (8 * I);
-  if (fnv1a64(Body) != Stored)
+  if (!bytes::sealed(Image))
+    return std::nullopt;
+  if (bytes::loadU32(Image.data() + sizeof(CacheBinMagic)) != CacheBinVersion)
     return std::nullopt;
 
-  BinCursor C(Body);
-  C.take(sizeof(CacheBinMagic));
-  if (C.u32() != CacheBinVersion)
-    return std::nullopt;
+  bytes::Reader R(std::string_view(Image).substr(
+      HeaderSize, Image.size() - HeaderSize - TrailerSize));
   CertKey Key;
   CertEntry E;
-  Key.ModelHash = C.u64();
-  Key.SpecHash = C.u64();
-  Key.CodeHash = C.u64();
-  E.OptsHash = C.u64();
-  E.Program = C.str();
-  E.ReplayOk = C.u8();
-  E.AnalysisOk = C.u8();
-  E.AnalysisWarnings = C.u64();
-  E.AnalysisDiags = C.str();
-  E.TvRan = C.u8();
-  E.TvVerdict = C.str();
-  E.TvLoops = C.u64();
-  E.TvTerms = C.u64();
-  E.TvCertificate = C.str();
-  E.TvCertBin = C.str();
-  E.CodelintRan = C.u8();
-  E.CodelintVerdict = C.str();
-  E.DifferentialOk = C.u8();
-  if (C.Failed || C.At != C.Len)
+  fields(R, Key, E);
+  if (!R.done())
     return std::nullopt; // Short fields or trailing garbage: re-derive.
   if (KeyOut)
     *KeyOut = Key;

@@ -29,12 +29,16 @@
 // On-disk format: one file per entry under the cache directory, named by
 // the key — <model>-<spec>-<code>.cert.bin (16 hex digits each): every
 // field as length-prefixed records behind a magic + version, with a
-// trailing integrity hash. The image carries both certificate payloads
-// verbatim, so a warm hit is one read and a bounds-checked fixed-field
-// decode. A missing, corrupt, or misfiled image is a plain miss; any other
-// file in the directory (such as a .cert.json written by older relc
-// versions) is never read. store() writes through a unique temp file and
-// a rename, so a crash leaves either the old entry or the new one.
+// trailing integrity hash. The fields are stated once in CertCache.cpp as
+// a layout over support/Bytes.h, the bounds-checked codec the certificate
+// image and the wire frames share (DESIGN.md §4.10); only the header is
+// checked by hand, magic then integrity then version. The image carries
+// both certificate payloads verbatim, so a warm hit is one read and a
+// bounds-checked fixed-field decode. A missing, corrupt, or misfiled image
+// is a plain miss; any other file in the directory (such as a .cert.json
+// written by older relc versions) is never read. store() writes through a
+// unique temp file and a rename, so a crash leaves either the old entry or
+// the new one.
 //
 //===----------------------------------------------------------------------===//
 

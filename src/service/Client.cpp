@@ -76,19 +76,10 @@ Result<wire::Message> Client::roundTrip(const wire::Message &Req,
   if (Fd < 0)
     return Error("connection-lost: not connected");
 
-  std::string F = wire::frame(wire::encode(Req));
-  size_t Off = 0;
-  while (Off < F.size()) {
-    ssize_t N = ::send(Fd, F.data() + Off, F.size() - Off, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      int E = errno;
-      close();
-      return Error(std::string("connection-lost: send: ") +
-                   std::strerror(E));
-    }
-    Off += size_t(N);
+  if (!wire::sendFrame(Fd, Req)) {
+    int E = errno;
+    close();
+    return Error(std::string("connection-lost: send: ") + std::strerror(E));
   }
 
   std::string Buf;

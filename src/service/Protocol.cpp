@@ -7,7 +7,12 @@
 
 #include "service/Protocol.h"
 
+#include "support/Bytes.h"
+
+#include <cerrno>
 #include <cstring>
+
+#include <sys/socket.h>
 
 namespace relc {
 namespace service {
@@ -30,215 +35,99 @@ const char *frameStatusReason(FrameStatus S) {
 
 namespace {
 
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(char((V >> (8 * I)) & 0xFF));
+// Each message body, stated once: run by a bytes::Writer to encode and by
+// a bytes::Reader to decode. Strings are u32-length-prefixed, lists
+// u32-count-prefixed.
+
+template <class Dir, class R> void certifyRequest(Dir &IO, R &Req) {
+  IO.list(Req.Programs, [&](auto &P) { IO.str32(P); });
+  IO.flag(Req.Validate);
+  IO.flag(Req.Analyze);
+  IO.flag(Req.Tv);
+  IO.flag(Req.Codelint);
+  IO.flag(Req.KeepGoing);
+  IO.flag(Req.WantCertJson);
+  IO.flag(Req.WantCertBin);
+  IO.u32(Req.LayerTimeoutMs);
+  IO.u64(Req.TvStepBudget);
 }
 
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(char((V >> (8 * I)) & 0xFF));
+template <class Dir, class R> void certifyReply(Dir &IO, R &Rep) {
+  IO.u8(Rep.Exit);
+  IO.list(Rep.Programs, [&](auto &P) {
+    IO.str32(P.Name);
+    IO.u8(P.Status);
+    IO.u8(P.From);
+    IO.str32(P.Error);
+    IO.str32(P.DegradedNote);
+    IO.str32(P.TvVerdict);
+    IO.str32(P.CodelintVerdict);
+    IO.str32(P.CertJson);
+    IO.str32(P.CertBin);
+  });
+  IO.u64(Rep.CacheHits);
+  IO.u64(Rep.CacheMisses);
+  IO.u64(Rep.CacheStores);
 }
 
-void putStr(std::string &Out, const std::string &S) {
-  putU32(Out, uint32_t(S.size()));
-  Out += S;
+template <class Dir, class P> void pong(Dir &IO, P &Pg) {
+  IO.u32(Pg.ApiVersion);
+  IO.u32(Pg.SchemaVersion);
+  IO.u64(Pg.RegistryFingerprint);
+  IO.u64(Pg.Pid);
 }
 
-void putBool(std::string &Out, bool B) { Out.push_back(B ? 1 : 0); }
+template <class Dir, class S> void stats(Dir &IO, S &St) {
+  IO.u64(St.Requests);
+  IO.u64(St.CertifyRequests);
+  IO.u64(St.MemoHits);
+  IO.u64(St.CacheHits);
+  IO.u64(St.CacheMisses);
+  IO.u64(St.CacheStores);
+  IO.u64(St.BusyRejections);
+  IO.u64(St.ProtocolRejections);
+  IO.u64(St.FaultedRequests);
+  IO.u64(St.ActiveConnections);
+  IO.u64(St.Workers);
+  IO.u64(St.WorkerSpawns);
+  IO.u64(St.WorkerRestarts);
+  IO.u64(St.WorkerSpawnFailures);
+  IO.u64(St.WorkerCrashes);
+  IO.u64(St.WorkerOoms);
+  IO.u64(St.WorkerTimeouts);
+  IO.u64(St.WorkerRetries);
+  IO.u64(St.WorkerDegraded);
+  IO.u64(St.Drains);
+  IO.str32(St.CacheDir);
+}
 
-/// Bounds-checked little-endian cursor; any overrun poisons the cursor
-/// (Ok = false), and the caller maps that to "malformed-frame".
-struct Cursor {
-  std::string_view Buf;
-  size_t Pos = 0;
-  bool Ok = true;
-
-  bool need(size_t N) {
-    if (!Ok || Buf.size() - Pos < N) {
-      Ok = false;
-      return false;
-    }
+/// The body of a message of kind \p K; false for a kind byte this schema
+/// does not define.
+template <class Dir, class M> bool body(Dir &IO, Kind K, M &Msg) {
+  switch (K) {
+  case Kind::CertifyRequest:
+    certifyRequest(IO, Msg.Certify);
     return true;
+  case Kind::CertifyReply:
+    certifyReply(IO, Msg.Reply);
+    return true;
+  case Kind::PongReply:
+    pong(IO, Msg.ThePong);
+    return true;
+  case Kind::StatsReply:
+    stats(IO, Msg.TheStats);
+    return true;
+  case Kind::ErrorReply:
+    IO.str32(Msg.Error.Reason);
+    IO.str32(Msg.Error.Detail);
+    return true;
+  case Kind::PingRequest:
+  case Kind::StatsRequest:
+  case Kind::ShutdownRequest:
+  case Kind::ShutdownReply:
+    return true; // Kind byte only.
   }
-  uint8_t u8() {
-    if (!need(1))
-      return 0;
-    return uint8_t(Buf[Pos++]);
-  }
-  bool boolean() { return u8() != 0; }
-  uint32_t u32() {
-    if (!need(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= uint32_t(uint8_t(Buf[Pos++])) << (8 * I);
-    return V;
-  }
-  uint64_t u64() {
-    if (!need(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= uint64_t(uint8_t(Buf[Pos++])) << (8 * I);
-    return V;
-  }
-  std::string str() {
-    uint32_t N = u32();
-    if (!need(N))
-      return {};
-    std::string S(Buf.substr(Pos, N));
-    Pos += N;
-    return S;
-  }
-  /// The whole payload must be consumed: trailing garbage is malformed,
-  /// not ignored — ignoring it would let two different byte strings
-  /// decode to the same message.
-  bool done() { return Ok && Pos == Buf.size(); }
-};
-
-void encodeCertifyRequest(std::string &Out, const CertifyRequest &R) {
-  putU32(Out, uint32_t(R.Programs.size()));
-  for (const std::string &P : R.Programs)
-    putStr(Out, P);
-  putBool(Out, R.Validate);
-  putBool(Out, R.Analyze);
-  putBool(Out, R.Tv);
-  putBool(Out, R.Codelint);
-  putBool(Out, R.KeepGoing);
-  putBool(Out, R.WantCertJson);
-  putBool(Out, R.WantCertBin);
-  putU32(Out, R.LayerTimeoutMs);
-  putU64(Out, R.TvStepBudget);
-}
-
-bool decodeCertifyRequest(Cursor &C, CertifyRequest *R) {
-  uint32_t N = C.u32();
-  // Cap the pre-reserve against a hostile count; actual strings are
-  // bounds-checked per element.
-  if (N > kMaxFramePayload / 4)
-    return false;
-  R->Programs.clear();
-  for (uint32_t I = 0; I < N && C.Ok; ++I)
-    R->Programs.push_back(C.str());
-  R->Validate = C.boolean();
-  R->Analyze = C.boolean();
-  R->Tv = C.boolean();
-  R->Codelint = C.boolean();
-  R->KeepGoing = C.boolean();
-  R->WantCertJson = C.boolean();
-  R->WantCertBin = C.boolean();
-  R->LayerTimeoutMs = C.u32();
-  R->TvStepBudget = C.u64();
-  return C.Ok;
-}
-
-void encodeCertifyReply(std::string &Out, const CertifyReply &R) {
-  Out.push_back(char(R.Exit));
-  putU32(Out, uint32_t(R.Programs.size()));
-  for (const ProgramResult &P : R.Programs) {
-    putStr(Out, P.Name);
-    Out.push_back(char(P.Status));
-    Out.push_back(char(P.From));
-    putStr(Out, P.Error);
-    putStr(Out, P.DegradedNote);
-    putStr(Out, P.TvVerdict);
-    putStr(Out, P.CodelintVerdict);
-    putStr(Out, P.CertJson);
-    putStr(Out, P.CertBin);
-  }
-  putU64(Out, R.CacheHits);
-  putU64(Out, R.CacheMisses);
-  putU64(Out, R.CacheStores);
-}
-
-bool decodeCertifyReply(Cursor &C, CertifyReply *R) {
-  R->Exit = C.u8();
-  uint32_t N = C.u32();
-  if (N > kMaxFramePayload / 16)
-    return false;
-  R->Programs.clear();
-  for (uint32_t I = 0; I < N && C.Ok; ++I) {
-    ProgramResult P;
-    P.Name = C.str();
-    P.Status = C.u8();
-    P.From = C.u8();
-    P.Error = C.str();
-    P.DegradedNote = C.str();
-    P.TvVerdict = C.str();
-    P.CodelintVerdict = C.str();
-    P.CertJson = C.str();
-    P.CertBin = C.str();
-    R->Programs.push_back(std::move(P));
-  }
-  R->CacheHits = C.u64();
-  R->CacheMisses = C.u64();
-  R->CacheStores = C.u64();
-  return C.Ok;
-}
-
-void encodePong(std::string &Out, const Pong &P) {
-  putU32(Out, P.ApiVersion);
-  putU32(Out, P.SchemaVersion);
-  putU64(Out, P.RegistryFingerprint);
-  putU64(Out, P.Pid);
-}
-
-bool decodePong(Cursor &C, Pong *P) {
-  P->ApiVersion = C.u32();
-  P->SchemaVersion = C.u32();
-  P->RegistryFingerprint = C.u64();
-  P->Pid = C.u64();
-  return C.Ok;
-}
-
-void encodeStats(std::string &Out, const Stats &S) {
-  putU64(Out, S.Requests);
-  putU64(Out, S.CertifyRequests);
-  putU64(Out, S.MemoHits);
-  putU64(Out, S.CacheHits);
-  putU64(Out, S.CacheMisses);
-  putU64(Out, S.CacheStores);
-  putU64(Out, S.BusyRejections);
-  putU64(Out, S.ProtocolRejections);
-  putU64(Out, S.FaultedRequests);
-  putU64(Out, S.ActiveConnections);
-  putU64(Out, S.Workers);
-  putU64(Out, S.WorkerSpawns);
-  putU64(Out, S.WorkerRestarts);
-  putU64(Out, S.WorkerSpawnFailures);
-  putU64(Out, S.WorkerCrashes);
-  putU64(Out, S.WorkerOoms);
-  putU64(Out, S.WorkerTimeouts);
-  putU64(Out, S.WorkerRetries);
-  putU64(Out, S.WorkerDegraded);
-  putU64(Out, S.Drains);
-  putStr(Out, S.CacheDir);
-}
-
-bool decodeStats(Cursor &C, Stats *S) {
-  S->Requests = C.u64();
-  S->CertifyRequests = C.u64();
-  S->MemoHits = C.u64();
-  S->CacheHits = C.u64();
-  S->CacheMisses = C.u64();
-  S->CacheStores = C.u64();
-  S->BusyRejections = C.u64();
-  S->ProtocolRejections = C.u64();
-  S->FaultedRequests = C.u64();
-  S->ActiveConnections = C.u64();
-  S->Workers = C.u64();
-  S->WorkerSpawns = C.u64();
-  S->WorkerRestarts = C.u64();
-  S->WorkerSpawnFailures = C.u64();
-  S->WorkerCrashes = C.u64();
-  S->WorkerOoms = C.u64();
-  S->WorkerTimeouts = C.u64();
-  S->WorkerRetries = C.u64();
-  S->WorkerDegraded = C.u64();
-  S->Drains = C.u64();
-  S->CacheDir = C.str();
-  return C.Ok;
+  return false;
 }
 
 } // namespace
@@ -247,8 +136,8 @@ std::string frame(std::string_view Payload) {
   std::string Out;
   Out.reserve(kHeaderSize + Payload.size());
   Out.append(kMagic, sizeof(kMagic));
-  putU32(Out, kSchemaVersion);
-  putU32(Out, uint32_t(Payload.size()));
+  bytes::putU32(Out, kSchemaVersion);
+  bytes::putU32(Out, uint32_t(Payload.size()));
   Out += Payload;
   return Out;
 }
@@ -264,13 +153,9 @@ FrameStatus splitFrame(std::string_view Buf, size_t *FrameSize,
     return FrameStatus::BadMagic;
   if (Buf.size() < kHeaderSize)
     return FrameStatus::NeedMore;
-  uint32_t Version = 0, Length = 0;
-  for (int I = 0; I < 4; ++I) {
-    Version |= uint32_t(uint8_t(Buf[8 + I])) << (8 * I);
-    Length |= uint32_t(uint8_t(Buf[12 + I])) << (8 * I);
-  }
-  if (Version != kSchemaVersion)
+  if (bytes::loadU32(Buf.data() + 8) != kSchemaVersion)
     return FrameStatus::UnknownVersion;
+  uint32_t Length = bytes::loadU32(Buf.data() + 12);
   if (Length > kMaxFramePayload)
     return FrameStatus::Oversized;
   if (Buf.size() < kHeaderSize + Length)
@@ -282,78 +167,46 @@ FrameStatus splitFrame(std::string_view Buf, size_t *FrameSize,
 
 std::string encode(const Message &M) {
   std::string Out;
-  Out.push_back(char(M.TheKind));
-  switch (M.TheKind) {
-  case Kind::CertifyRequest:
-    encodeCertifyRequest(Out, M.Certify);
-    break;
-  case Kind::CertifyReply:
-    encodeCertifyReply(Out, M.Reply);
-    break;
-  case Kind::PongReply:
-    encodePong(Out, M.ThePong);
-    break;
-  case Kind::StatsReply:
-    encodeStats(Out, M.TheStats);
-    break;
-  case Kind::ErrorReply:
-    putStr(Out, M.Error.Reason);
-    putStr(Out, M.Error.Detail);
-    break;
-  case Kind::PingRequest:
-  case Kind::StatsRequest:
-  case Kind::ShutdownRequest:
-  case Kind::ShutdownReply:
-    break; // Kind byte only.
-  }
+  bytes::Writer W(Out);
+  W.u8(uint8_t(M.TheKind));
+  body(W, M.TheKind, M);
   return Out;
 }
 
 bool decode(std::string_view Payload, Message *M, std::string *Reason) {
-  Cursor C{Payload, 0, true};
-  uint8_t KindByte = C.u8();
-  if (!C.Ok) {
+  bytes::Reader R(Payload);
+  uint8_t KindByte = 0;
+  R.u8(KindByte);
+  if (!R.ok()) {
     *Reason = "malformed-frame";
     return false;
   }
-  bool Decoded = false;
-  switch (Kind(KindByte)) {
-  case Kind::CertifyRequest:
-    M->TheKind = Kind::CertifyRequest;
-    Decoded = decodeCertifyRequest(C, &M->Certify);
-    break;
-  case Kind::CertifyReply:
-    M->TheKind = Kind::CertifyReply;
-    Decoded = decodeCertifyReply(C, &M->Reply);
-    break;
-  case Kind::PongReply:
-    M->TheKind = Kind::PongReply;
-    Decoded = decodePong(C, &M->ThePong);
-    break;
-  case Kind::StatsReply:
-    M->TheKind = Kind::StatsReply;
-    Decoded = decodeStats(C, &M->TheStats);
-    break;
-  case Kind::ErrorReply:
-    M->TheKind = Kind::ErrorReply;
-    M->Error.Reason = C.str();
-    M->Error.Detail = C.str();
-    Decoded = C.Ok;
-    break;
-  case Kind::PingRequest:
-  case Kind::StatsRequest:
-  case Kind::ShutdownRequest:
-  case Kind::ShutdownReply:
-    M->TheKind = Kind(KindByte);
-    Decoded = true;
-    break;
-  default:
+  if (!body(R, Kind(KindByte), *M)) {
     *Reason = "unknown-request-kind";
     return false;
   }
-  if (!Decoded || !C.done()) {
+  M->TheKind = Kind(KindByte);
+  // The whole payload must be consumed: trailing garbage is malformed,
+  // not ignored — ignoring it would let two different byte strings decode
+  // to the same message.
+  if (!R.done()) {
     *Reason = "malformed-frame";
     return false;
+  }
+  return true;
+}
+
+bool sendFrame(int Fd, const Message &M) {
+  std::string F = frame(encode(M));
+  size_t Off = 0;
+  while (Off < F.size()) {
+    ssize_t N = ::send(Fd, F.data() + Off, F.size() - Off, MSG_NOSIGNAL);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    Off += size_t(N);
   }
   return true;
 }

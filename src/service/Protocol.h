@@ -18,7 +18,10 @@
 //
 // and the payload is one tagged message: a leading kind byte, then that
 // kind's fields (strings are u32-length-prefixed byte runs; lists are
-// u32-count-prefixed).
+// u32-count-prefixed). Each body's layout is stated once in Protocol.cpp
+// over support/Bytes.h, the encoding the certificate image and the cache
+// entry share: the bounds-checked Reader that decodes it is argued for
+// once, in DESIGN.md §4.10.
 //
 // Named rejections (kebab-case, exhaustive):
 //
@@ -208,6 +211,11 @@ std::string encode(const Message &M);
 /// Decodes one payload. On failure returns false with *Reason set to
 /// "malformed-frame" or "unknown-request-kind".
 bool decode(std::string_view Payload, Message *M, std::string *Reason);
+
+/// Encodes, frames and writes \p M to the socket \p Fd whole, retrying
+/// on EINTR and never raising SIGPIPE. False (errno set) if the peer is
+/// gone or the write failed.
+bool sendFrame(int Fd, const Message &M);
 
 } // namespace wire
 } // namespace service

@@ -372,18 +372,7 @@ bool Server::writeFrame(int Fd, uint64_t ConnId, const wire::Message &Reply) {
   // the connection drops, exactly like a peer that died mid-read.
   if (fault::fireWithRetry(fault::Site::SvcWrite, std::to_string(ConnId)))
     return false;
-  std::string F = wire::frame(wire::encode(Reply));
-  size_t Off = 0;
-  while (Off < F.size()) {
-    ssize_t N = ::send(Fd, F.data() + Off, F.size() - Off, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += size_t(N);
-  }
-  return true;
+  return wire::sendFrame(Fd, Reply);
 }
 
 wire::Message Server::dispatch(const wire::Message &Req) {

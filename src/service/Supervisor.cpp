@@ -44,21 +44,6 @@ wire::Message busyReply(const std::string &Detail) {
   return M;
 }
 
-bool sendAll(int Fd, const std::string &Bytes) {
-  size_t Off = 0;
-  while (Off < Bytes.size()) {
-    ssize_t N = ::send(Fd, Bytes.data() + Off, Bytes.size() - Off,
-                       MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += size_t(N);
-  }
-  return true;
-}
-
 } // namespace
 
 const char *lossName(Loss L) {
@@ -327,7 +312,7 @@ bool Supervisor::attemptJob(int Idx, const wire::CertifyRequest &Canon,
   wire::Message Req;
   Req.TheKind = wire::Kind::CertifyRequest;
   Req.Certify = Canon;
-  if (!sendAll(S.Fd, wire::frame(wire::encode(Req)))) {
+  if (!wire::sendFrame(S.Fd, Req)) {
     *TheLoss = reapLoss(Idx, false, JobKey, Attempt, Detail);
     return false;
   }

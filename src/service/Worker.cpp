@@ -71,22 +71,6 @@ wire::Message runCertify(const wire::CertifyRequest &Canon,
 
 namespace {
 
-/// Blocking whole-frame write on the worker's socketpair end.
-bool writeAll(int Fd, const std::string &Bytes) {
-  size_t Off = 0;
-  while (Off < Bytes.size()) {
-    ssize_t N = ::send(Fd, Bytes.data() + Off, Bytes.size() - Off,
-                       MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += size_t(N);
-  }
-  return true;
-}
-
 void applyLimit(int Resource, uint64_t Value) {
   rlimit L{};
   L.rlim_cur = Value;
@@ -143,7 +127,7 @@ void workerMain(int Fd, const WorkerConfig &Cfg) {
         Reply = runCertify(Req.Certify, Cfg);
       }
       Buf.erase(0, FrameSize);
-      if (!writeAll(Fd, wire::frame(wire::encode(Reply))))
+      if (!wire::sendFrame(Fd, Reply))
         _exit(0); // Supervisor went away; nothing left to serve.
       continue;
     }

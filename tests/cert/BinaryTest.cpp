@@ -163,6 +163,30 @@ TEST(CertBinaryTest, JsonAndBinaryFacesDecodeIdentically) {
   EXPECT_EQ(cert::Writer::write(*FromJson), cert::Writer::write(*FromBin));
 }
 
+TEST(CertBinaryTest, ImageBytesArePinned) {
+  // The image's exact bytes, with and without the codelint section, by
+  // length and FNV-1a/64: a layout change that moves one byte fails here.
+  // Decoding the pinned bytes and encoding the result gives them back.
+  struct Pin {
+    bool Codelint;
+    size_t Size;
+    uint64_t Fnv;
+  };
+  for (const Pin &P : {Pin{true, 444, 0x2a9ed6c629983400ull},
+                      Pin{false, 365, 0xb16227df93f41c60ull}}) {
+    cert::Certificate C = sampleCert();
+    if (!P.Codelint)
+      C.Codelint.reset();
+    std::string Image = cert::BinWriter::write(C);
+    EXPECT_EQ(Image.size(), P.Size) << "codelint " << P.Codelint;
+    EXPECT_EQ(hash::hex16(hash::fnv1a64(Image)), hash::hex16(P.Fnv))
+        << "codelint " << P.Codelint;
+    std::optional<cert::Certificate> R = cert::BinReader::parse(Image);
+    ASSERT_TRUE(R.has_value()) << "codelint " << P.Codelint;
+    EXPECT_EQ(cert::BinWriter::write(*R), Image) << "codelint " << P.Codelint;
+  }
+}
+
 TEST(CertBinaryTest, ReadFileRoundtripsAndMissingFileIsNamed) {
   std::string Path =
       (std::filesystem::temp_directory_path() / "relc-bin-test.certbin")

@@ -302,4 +302,30 @@ TEST(RederiveTest, TamperTextLevelBitFlipInHash) {
   expectReject(W, *C, cert::Reject::LoopSummaryMismatch, "text-level flip");
 }
 
+TEST(RederiveTest, TamperJsonIntegerOverflowIsMalformed) {
+  // A number past uint64_t, or past its field's width, is malformed: read
+  // modulo 2^64 or narrowed to 32 bits, each of these edits of a genuine
+  // certificate would decode as the genuine value and be accepted.
+  Produced W = produce("fnv1a");
+  std::string Text = cert::Writer::write(W.Cert);
+  const std::pair<const char *, const char *> Edits[] = {
+      {"schema_version", "18446744073709551618"}, // 2^64 + 2
+      {"carried", "4294967298"},                  // 2^32 + 2
+      {"num_terms", "99999999999999999999999"},
+  };
+  for (const auto &[Field, Value] : Edits) {
+    std::string Key = std::string("\"") + Field + "\": ";
+    size_t At = Text.find(Key);
+    ASSERT_NE(At, std::string::npos) << Field;
+    At += Key.size();
+    std::string T = Text;
+    T.replace(At, T.find_first_not_of("0123456789", At) - At, Value);
+    cert::ReadError Err;
+    EXPECT_FALSE(cert::Reader::parse(T, &Err).has_value()) << Field;
+    EXPECT_EQ(cert::rejectName(Err.Why),
+              std::string(cert::rejectName(cert::Reject::MalformedCertificate)))
+        << Field << ": " << Err.Detail;
+  }
+}
+
 } // namespace

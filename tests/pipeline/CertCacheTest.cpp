@@ -201,6 +201,20 @@ TEST(CertCacheTest, BinImageRoundTripsAndIsByteStable) {
   EXPECT_EQ(E2->DifferentialOk, E.DifferentialOk);
 }
 
+TEST(CertCacheTest, BinImageBytesArePinned) {
+  // The entry image's exact bytes, by length and FNV-1a/64: a layout
+  // change that moves one byte fails here, and so would every warm run
+  // against a cache an older build filled. Decoding the pinned bytes and
+  // encoding the result gives them back.
+  std::string Image = CertCache::serializeBin(sampleKey(), sampleEntry());
+  EXPECT_EQ(Image.size(), 229u);
+  EXPECT_EQ(hex16(fnv1a64(Image)), hex16(0x727e9e38ecb90c1aULL));
+  CertKey K;
+  std::optional<CertEntry> E = CertCache::deserializeBin(Image, &K);
+  ASSERT_TRUE(E.has_value());
+  EXPECT_EQ(CertCache::serializeBin(K, *E), Image);
+}
+
 TEST(CertCacheTest, BinImageAnyFlippedBitFailsIntegrity) {
   std::string Image = CertCache::serializeBin(sampleKey(), sampleEntry());
   // Flip one bit at a spread of positions — magic, header, payload,

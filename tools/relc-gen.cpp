@@ -169,7 +169,18 @@ int main(int argc, char **argv) {
   if (!Resp.JobsNote.empty())
     std::fprintf(stderr, "relc-gen: %s\n", Resp.JobsNote.c_str());
 
+  // Every artifact write is checked: a certificate, C file or header that
+  // is not on disk is named and turns the exit into 1.
   bool WriteFailed = false;
+  auto WriteArtifact = [&](const std::string &Who, const std::string &Path,
+                           const std::string &Bytes) {
+    std::ofstream Out(Path, std::ios::binary);
+    Out << Bytes;
+    if (Out.flush())
+      return;
+    std::fprintf(stderr, "%s cannot write %s\n", Who.c_str(), Path.c_str());
+    WriteFailed = true;
+  };
 
   // Cache-store failures are absorbed per program (the verdict stands),
   // but a misconfigured cache directory silently re-certifies everything
@@ -179,6 +190,7 @@ int main(int argc, char **argv) {
   for (const service::ProgramReply &PR : Resp.Programs) {
     const pipeline::ProgramOutcome &O = PR.Outcome;
     const programs::ProgramDef &P = *O.Def;
+    const std::string Who = "[" + P.Name + "]";
 
     if (!O.CacheStoreError.empty() && !WarnedCacheStore) {
       std::fprintf(stderr,
@@ -253,15 +265,12 @@ int main(int argc, char **argv) {
       // binary image, or (auto) both. Both encode the same Certificate and
       // rederive identically under relc-check — and both are exactly the
       // bytes relcd puts on the wire for this program.
-      if (CertFormat != "bin") {
-        std::ofstream Cert(OutDir + "/" + P.Name + ".tv.json");
-        Cert << PR.CertJson;
-      }
-      if (CertFormat != "json") {
-        std::ofstream Cert(OutDir + "/" + P.Name + cert::kBinExtension,
-                           std::ios::binary);
-        Cert << PR.CertBin;
-      }
+      if (CertFormat != "bin")
+        WriteArtifact(Who, OutDir + "/" + P.Name + ".tv.json",
+                      PR.CertJson);
+      if (CertFormat != "json")
+        WriteArtifact(Who, OutDir + "/" + P.Name + cert::kBinExtension,
+                      PR.CertBin);
     }
 
     // Target-side codelint verdict: one deterministic line, reproducible
@@ -298,24 +307,19 @@ int main(int argc, char **argv) {
       continue;
     }
 
-    std::string Path = OutDir + "/" + P.Name + ".c";
-    std::ofstream Out(Path);
-    if (!Out) {
-      std::fprintf(stderr, "[%s] cannot write %s\n", P.Name.c_str(),
-                   Path.c_str());
-      WriteFailed = true;
-      continue;
-    }
-    Out << "/* Generated by relc (relational compilation); certified by\n"
-           " * derivation replay and differential validation. Do not edit. */\n"
-        << PR.CCode;
+    WriteArtifact(
+        Who, OutDir + "/" + P.Name + ".c",
+        "/* Generated by relc (relational compilation); certified by\n"
+        " * derivation replay and differential validation. Do not edit. */\n" +
+            PR.CCode);
   }
 
-  std::ofstream H(OutDir + "/relc_generated.h");
-  H << "/* Generated by relc; aggregate declarations. */\n"
-    << "#ifndef RELC_GENERATED_H\n#define RELC_GENERATED_H\n"
-    << "#ifdef __cplusplus\nextern \"C\" {\n#endif\n"
-    << Resp.CHeader << "#ifdef __cplusplus\n}\n#endif\n#endif\n";
+  WriteArtifact("relc-gen:", OutDir + "/relc_generated.h",
+                "/* Generated by relc; aggregate declarations. */\n"
+                "#ifndef RELC_GENERATED_H\n#define RELC_GENERATED_H\n"
+                "#ifdef __cplusplus\nextern \"C\" {\n#endif\n" +
+                    Resp.CHeader +
+                    "#ifdef __cplusplus\n}\n#endif\n#endif\n");
 
   return WriteFailed ? 1 : Resp.Exit;
 }
