@@ -82,7 +82,7 @@ public:
     Report.NumStmts = Fn.countStmts();
     Report.SymIterations = SymR.Iterations;
 
-    runInitAndIntervals();
+    runInit();
     checkUninit();
     checkBounds();
     checkDeadStores();
@@ -101,7 +101,6 @@ private:
   AnalysisReport Report;
 
   DataflowResult<InitDomain> InitR;
-  DataflowResult<IntervalDomain> ItvR;
 
   void diag(Diagnostic::Checker C, const std::string &Path,
             const std::string &Stmt, const std::string &Message,
@@ -109,13 +108,13 @@ private:
     Report.Diags.push_back({C, Fn.Name, Path, Stmt, Message, IsError});
   }
 
-  bool reachable(unsigned Id) const {
-    return SymR.In[Id].has_value() && ItvR.In[Id].has_value();
-  }
+  /// The symbolic fixpoint is the one reachability decision: a block is
+  /// reachable iff some feasible edge brought it a state.
+  bool reachable(unsigned Id) const { return SymR.In[Id].has_value(); }
 
   /// Diagnostic tail for a non-converged fixpoint: names the exhausted
   /// budget when that is what stopped it, so degraded outcomes are
-  /// distinguishable from genuine widening failures.
+  /// distinguishable from a fixpoint that hit the iteration cap.
   template <typename Domain>
   void convergenceDiag(const DataflowResult<Domain> &R,
                        const std::string &What, const std::string &CapText) {
@@ -126,15 +125,12 @@ private:
          true);
   }
 
-  void runInitAndIntervals() {
+  /// Runs the definedness fixpoint, then reports it and the shared
+  /// symbolic fixpoint if either stopped short.
+  void runInit() {
     InitDomain D(Fn);
     InitR = runForward(G, D, 64, T.Budget);
     convergenceDiag(InitR, "initialized-locals analysis", " did not converge");
-
-    IntervalDomain Itv(G, Fn, T.Abi);
-    ItvR = runForward(G, Itv, 64, T.Budget);
-    convergenceDiag(ItvR, "interval analysis", " did not converge");
-
     convergenceDiag(SymR, "symbolic analysis",
                     " did not converge (abstract state kept changing past "
                     "the iteration cap)");
@@ -271,7 +267,7 @@ private:
   //===--------------------------------------------------------------------===//
 
   void checkUnreachable() {
-    if (!SymR.Converged || !ItvR.Converged)
+    if (!SymR.Converged)
       return;
     for (const BasicBlock &B : G.blocks()) {
       if (reachable(B.Id))

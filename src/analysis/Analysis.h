@@ -5,8 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The analyzer entry points: run the dataflow domains over a compiled
-// Bedrock2 function and report defects. Four checkers:
+// The analyzer entry points: run the definedness fixpoint over a compiled
+// Bedrock2 function, read the symbolic fixpoint it shares with codelint,
+// and report defects. Four checkers:
 //
 //   - Uninit: a local may be read before every path to the read defines it.
 //   - Bounds: a load/store/table access whose offset is not *provably*
@@ -16,14 +17,18 @@
 //     analyzer cannot justify against the ABI frame is an error even if
 //     every sampled differential-test vector happens to stay in bounds.
 //   - DeadStore: a Set whose value can never be observed (warning).
-//   - Unreachable: statements no feasible path reaches (warning).
+//   - Unreachable: statements no feasible path reaches (warning). The
+//     symbolic fixpoint is the one reachability decision: a block is
+//     reachable iff some edge the solver could not refute brought it a
+//     state. DeadStore skips the blocks it finds unreachable.
 //
 // Uninit and Bounds findings (and analysis non-convergence) are errors —
 // the certification pipeline fails on them; DeadStore and Unreachable are
 // warnings surfaced in reports and by relc-lint.
 //
-// The CFG, the symbolic fixpoint and the bounds decisions come from the
-// TargetFacts codelint shares (TargetFacts.h); Bounds renders its findings.
+// Definedness is the analyzer's own fixpoint. The CFG, the symbolic
+// fixpoint and the bounds decisions come from the TargetFacts codelint
+// shares (TargetFacts.h); Bounds renders its findings.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,8 +80,8 @@ struct AnalysisReport {
   std::string str() const;
 };
 
-/// Runs the init and interval domains and all checkers over \p T's
-/// function under \p T's budget (see AnalysisReport::BudgetExhausted).
+/// Runs the definedness fixpoint and all checkers over \p T's function
+/// under \p T's budget (see AnalysisReport::BudgetExhausted).
 AnalysisReport analyzeFunction(const TargetFacts &T);
 
 /// Derives the TargetFacts of \p Fn against its ABI digest, then analyzes.

@@ -18,17 +18,16 @@
 //       // edge statically infeasible — its target receives nothing.
 //   bool join(unsigned BlockId, State &Into, const State &From);
 //       // Merge From into Into; returns true iff Into changed. BlockId
-//       // lets domains widen at loop headers.
+//       // names the merge point (the symbolic domain keys its phis on it).
 //   bool same(const State &, const State &);
 //       // Structural equality; drives change detection.
 //   bool restartLoops();
 //       // Whether a loop should be re-seeded from its entry state when
 //       // that entry state changes (see below). Domains whose join can
 //       // get *stuck* on artifacts of a stale merge (the symbolic
-//       // domain's phis) need this; proper lattice domains with widening
-//       // (intervals) should decline — each upstream change would
-//       // restart every downstream loop, and the cascade across a chain
-//       // of loops multiplies visits past the iteration cap.
+//       // domain's phis) need this; a domain whose join cannot get stuck
+//       // (definedness) declines, since a restart would only re-run the
+//       // loop body.
 //
 // Block inputs are recomputed *fresh* on every visit as the join of the
 // predecessors' latest cached edge states ("In[b] = ⊔ out-edges of preds"),
@@ -39,11 +38,12 @@
 // the actual fixpoint.
 //
 // Block-input states start unset; a block whose input never gets a state is
-// unreachable under the domain's abstraction. The worklist is ordered by
+// unreachable under the domain's abstraction; the static analyzer takes
+// its reachability from the symbolic domain's. The worklist is ordered by
 // reverse post order so loop bodies stabilize before their exits are
-// explored. Iteration is capped (domains with unbounded ascending chains
-// must widen); hitting the cap sets Converged = false, which callers treat
-// as an analysis error rather than trusting a partial fixpoint.
+// explored. Iteration is capped; hitting the cap sets Converged = false,
+// which callers treat as an analysis error rather than trusting a partial
+// fixpoint.
 //
 //===----------------------------------------------------------------------===//
 

@@ -230,251 +230,6 @@ bool InitDomain::join(unsigned, State &Into, const State &From) const {
 }
 
 //===----------------------------------------------------------------------===//
-// IntervalDomain.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Smallest all-ones mask covering \p H (so x ≤ H implies x | y ≤
-/// maskCover(H) | maskCover(Hy)).
-uint64_t maskCover(uint64_t H) {
-  uint64_t M = 0;
-  while (M < H)
-    M = (M << 1) | 1;
-  return M;
-}
-
-Interval evalBinItv(BinOp Op, Interval A, Interval B) {
-  const uint64_t Max = ~uint64_t(0);
-  switch (Op) {
-  case BinOp::Add:
-    if (A.Hi <= Max - B.Hi)
-      return {A.Lo + B.Lo, A.Hi + B.Hi};
-    return Interval::top();
-  case BinOp::Sub:
-    if (A.Lo >= B.Hi)
-      return {A.Lo - B.Hi, A.Hi - B.Lo};
-    return Interval::top();
-  case BinOp::Mul: {
-    unsigned __int128 P = (unsigned __int128)A.Hi * B.Hi;
-    if (P <= Max)
-      return {A.Lo * B.Lo, A.Hi * B.Hi};
-    return Interval::top();
-  }
-  case BinOp::DivU:
-    if (B.Lo > 0)
-      return {A.Lo / B.Hi, A.Hi / B.Lo};
-    return Interval::top(); // Division by zero yields all-ones.
-  case BinOp::RemU:
-    if (B.Lo > 0) {
-      if (A.Hi < B.Lo)
-        return A; // x % y = x when x < y.
-      return {0, B.Hi - 1};
-    }
-    return Interval::top();
-  case BinOp::And:
-    return {0, std::min(A.Hi, B.Hi)};
-  case BinOp::Or:
-    return {std::max(A.Lo, B.Lo), maskCover(A.Hi) | maskCover(B.Hi)};
-  case BinOp::Xor:
-    return {0, maskCover(A.Hi) | maskCover(B.Hi)};
-  case BinOp::Shl:
-    if (B.Lo == B.Hi) {
-      unsigned C = unsigned(B.Lo & 63);
-      if (A.Hi <= (Max >> C))
-        return {A.Lo << C, A.Hi << C};
-    }
-    return Interval::top();
-  case BinOp::LShr:
-    if (B.Lo == B.Hi) {
-      unsigned C = unsigned(B.Lo & 63);
-      return {A.Lo >> C, A.Hi >> C};
-    }
-    return {0, A.Hi};
-  case BinOp::AShr:
-    return Interval::top();
-  case BinOp::LtU:
-    if (A.Hi < B.Lo)
-      return Interval::point(1);
-    if (A.Lo >= B.Hi)
-      return Interval::point(0);
-    return {0, 1};
-  case BinOp::LtS:
-    return {0, 1};
-  case BinOp::Eq:
-    if (A.Hi < B.Lo || B.Hi < A.Lo)
-      return Interval::point(0);
-    if (A.Lo == A.Hi && B.Lo == B.Hi && A.Lo == B.Lo)
-      return Interval::point(1);
-    return {0, 1};
-  case BinOp::Ne:
-    if (A.Hi < B.Lo || B.Hi < A.Lo)
-      return Interval::point(1);
-    if (A.Lo == A.Hi && B.Lo == B.Hi && A.Lo == B.Lo)
-      return Interval::point(0);
-    return {0, 1};
-  }
-  return Interval::top();
-}
-
-} // namespace
-
-IntervalDomain::State IntervalDomain::entry() const {
-  State S;
-  for (const std::string &A : Fn.Args) {
-    auto It = Abi.ArgTerm.find(A);
-    if (It == Abi.ArgTerm.end())
-      continue;
-    if (auto Ub = Abi.EntryFacts.intervalUpperBound(It->second))
-      if (*Ub >= 0)
-        S.Env[A] = {0, uint64_t(*Ub)};
-  }
-  return S;
-}
-
-Interval IntervalDomain::eval(const State &St, const Expr &E) const {
-  switch (E.kind()) {
-  case Expr::Kind::Literal:
-    return Interval::point(cast<Literal>(&E)->value());
-  case Expr::Kind::Var: {
-    auto It = St.Env.find(cast<Var>(&E)->name());
-    return It == St.Env.end() ? Interval::top() : It->second;
-  }
-  case Expr::Kind::Load: {
-    unsigned B = sizeBytes(cast<Load>(&E)->size());
-    if (B < 8)
-      return {0, (uint64_t(1) << (8 * B)) - 1};
-    return Interval::top();
-  }
-  case Expr::Kind::TableGet: {
-    const auto *T = cast<TableGet>(&E);
-    uint64_t Hi = 0;
-    if (const InlineTable *Tab = Fn.findTable(T->table())) {
-      for (Word W : Tab->Elements)
-        Hi = std::max(Hi, uint64_t(W));
-      return {0, Hi};
-    }
-    return Interval::top();
-  }
-  case Expr::Kind::Bin: {
-    const auto *B = cast<Bin>(&E);
-    return evalBinItv(B->op(), eval(St, *B->lhs()), eval(St, *B->rhs()));
-  }
-  }
-  return Interval::top();
-}
-
-void IntervalDomain::transfer(const Cfg &, const BasicBlock &,
-                              const CfgStmt &S, State &St) const {
-  if (S.K != CfgStmt::Kind::Simple) {
-    // Stackalloc pointers and exits: the bound local is unconstrained.
-    forEachDefVar(S, [&](const std::string &V) { St.Env.erase(V); });
-    forEachKillVar(S, [&](const std::string &V) { St.Env.erase(V); });
-    return;
-  }
-  if (const auto *Set = dyn_cast<bedrock::Set>(S.C)) {
-    St.Env[Set->name()] = eval(St, *Set->value());
-    return;
-  }
-  forEachDefVar(S, [&](const std::string &V) { St.Env.erase(V); });
-  forEachKillVar(S, [&](const std::string &V) { St.Env.erase(V); });
-}
-
-std::optional<IntervalDomain::State>
-IntervalDomain::edge(const Cfg &, const BasicBlock &B, const State &St,
-                     bool Taken) const {
-  if (B.T != BasicBlock::Term::Branch)
-    return St;
-  Interval C = eval(St, *B.Cond);
-  if (Taken && C.Hi == 0)
-    return std::nullopt; // Condition is constantly false.
-  if (!Taken && C.Lo >= 1)
-    return std::nullopt; // Condition is constantly true.
-
-  State Out = St;
-  auto Refine = [&](const std::string &V, uint64_t Lo, uint64_t Hi) -> bool {
-    Interval &I = Out.Env.try_emplace(V, Interval::top()).first->second;
-    I.Lo = std::max(I.Lo, Lo);
-    I.Hi = std::min(I.Hi, Hi);
-    return I.Lo <= I.Hi;
-  };
-  bool Feasible = true;
-  const uint64_t Max = ~uint64_t(0);
-  if (const auto *Bin = dyn_cast<bedrock::Bin>(B.Cond)) {
-    Interval L = eval(St, *Bin->lhs());
-    Interval R = eval(St, *Bin->rhs());
-    const auto *LV = dyn_cast<Var>(Bin->lhs());
-    const auto *RV = dyn_cast<Var>(Bin->rhs());
-    switch (Bin->op()) {
-    case BinOp::LtU:
-      if (LV)
-        Feasible &= Taken ? (R.Hi > 0 && Refine(LV->name(), 0, R.Hi - 1))
-                          : Refine(LV->name(), R.Lo, Max);
-      if (Feasible && RV)
-        Feasible &= Taken ? (L.Lo < Max && Refine(RV->name(), L.Lo + 1, Max))
-                          : Refine(RV->name(), 0, L.Hi);
-      break;
-    case BinOp::Eq:
-      if (Taken) {
-        if (LV)
-          Feasible &= Refine(LV->name(), R.Lo, R.Hi);
-        if (Feasible && RV)
-          Feasible &= Refine(RV->name(), L.Lo, L.Hi);
-      }
-      break;
-    case BinOp::Ne:
-      if (!Taken) {
-        if (LV)
-          Feasible &= Refine(LV->name(), R.Lo, R.Hi);
-        if (Feasible && RV)
-          Feasible &= Refine(RV->name(), L.Lo, L.Hi);
-      }
-      break;
-    default:
-      break;
-    }
-  } else if (const auto *V = dyn_cast<Var>(B.Cond)) {
-    Feasible &= Taken ? Refine(V->name(), 1, Max) : Refine(V->name(), 0, 0);
-  }
-  if (!Feasible)
-    return std::nullopt;
-  return Out;
-}
-
-bool IntervalDomain::join(unsigned BlockId, State &Into, const State &From) {
-  bool Widen = G.block(BlockId).IsLoopHeader && ++JoinCount[BlockId] > 3;
-  bool Changed = false;
-  for (auto It = Into.Env.begin(); It != Into.Env.end();) {
-    auto F = From.Env.find(It->first);
-    if (F == From.Env.end()) {
-      It = Into.Env.erase(It);
-      Changed = true;
-      continue;
-    }
-    Interval Hull{std::min(It->second.Lo, F->second.Lo),
-                  std::max(It->second.Hi, F->second.Hi)};
-    if (!(Hull == It->second)) {
-      if (Widen) {
-        // Widen whichever bound moved to its extreme.
-        if (Hull.Lo < It->second.Lo)
-          Hull.Lo = 0;
-        if (Hull.Hi > It->second.Hi)
-          Hull.Hi = ~uint64_t(0);
-      }
-      if (Hull.isTop()) {
-        It = Into.Env.erase(It);
-        Changed = true;
-        continue;
-      }
-      It->second = Hull;
-      Changed = true;
-    }
-    ++It;
-  }
-  return Changed;
-}
-
-//===----------------------------------------------------------------------===//
 // SymbolicDomain.
 //===----------------------------------------------------------------------===//
 

@@ -5,8 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The three concrete abstract domains run by the static verifier, plus the
-// ABI digest they consume:
+// The two abstract domains run over emitted code, plus the ABI digest they
+// consume:
 //
 //   - AbiInfo distills a program's `sep::FnSpec` into analyzable form:
 //     which target arguments are pointers into which separation-logic
@@ -14,13 +14,13 @@
 //     fact database (the requires clause: lengths nonnegative and ABI-
 //     bounded, plus any user compile hints).
 //
-//   - InitDomain: definitely-initialized locals (set intersection).
+//   - InitDomain: definitely-initialized locals (set intersection), the
+//     static analyzer's own.
 //
-//   - IntervalDomain: unsigned word ranges with loop-header widening; a
-//     cheap relational-free domain whose main job is constant-condition
-//     edge pruning for the unreachable-code checker.
-//
-//   - SymbolicDomain: the precise domain backing the bounds checker. Each
+//   - SymbolicDomain: the fixpoint both target-side layers share
+//     (TargetFacts.h). It backs the bounds decisions and decides
+//     reachability: an edge whose refined facts the solver finds
+//     inconsistent is infeasible, and its target gets no state. Each
 //     local maps to an AbsVal — either a scalar whose *exact* integer word
 //     value is an affine `solver::LinTerm`, or a pointer into a region at
 //     an exact nonnegative byte offset. Facts (T ≥ 0 rows, keyed by their
@@ -47,7 +47,6 @@
 #include "sep/State.h"
 #include "solver/Linear.h"
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -156,57 +155,6 @@ public:
 
 private:
   const bedrock::Function &Fn;
-};
-
-//===----------------------------------------------------------------------===//
-// Intervals.
-//===----------------------------------------------------------------------===//
-
-/// An unsigned word range [Lo, Hi].
-struct Interval {
-  uint64_t Lo = 0;
-  uint64_t Hi = ~uint64_t(0);
-
-  static Interval top() { return {}; }
-  static Interval point(uint64_t V) { return {V, V}; }
-  bool isTop() const { return Lo == 0 && Hi == ~uint64_t(0); }
-  bool operator==(const Interval &O) const { return Lo == O.Lo && Hi == O.Hi; }
-};
-
-class IntervalDomain {
-public:
-  struct State {
-    /// Absent variables are unconstrained (top).
-    std::map<std::string, Interval> Env;
-  };
-
-  IntervalDomain(const Cfg &G, const bedrock::Function &Fn, const AbiInfo &Abi)
-      : G(G), Fn(Fn), Abi(Abi) {}
-
-  State entry() const;
-  void transfer(const Cfg &G, const BasicBlock &B, const CfgStmt &S,
-                State &St) const;
-  /// Refines the condition's variables along the edge; nullopt when the
-  /// condition's interval excludes this edge entirely.
-  std::optional<State> edge(const Cfg &G, const BasicBlock &B, const State &St,
-                            bool Taken) const;
-  /// Interval hull, widened to top per variable after repeated growth at
-  /// loop headers.
-  bool join(unsigned BlockId, State &Into, const State &From);
-
-  bool same(const State &X, const State &Y) const { return X.Env == Y.Env; }
-
-  /// Hull + widening tolerates stale merges; restarts would cascade
-  /// across loop chains (see Dataflow.h).
-  bool restartLoops() const { return false; }
-
-  Interval eval(const State &St, const bedrock::Expr &E) const;
-
-private:
-  const Cfg &G;
-  const bedrock::Function &Fn;
-  const AbiInfo &Abi;
-  std::map<unsigned, unsigned> JoinCount;
 };
 
 //===----------------------------------------------------------------------===//

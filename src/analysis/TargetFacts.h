@@ -33,6 +33,7 @@
 #include "analysis/Domains.h"
 #include "support/Budget.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 

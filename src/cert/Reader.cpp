@@ -23,6 +23,9 @@ namespace {
 // A minimal JSON value + recursive-descent parser. Certificates only use
 // objects, arrays, strings, unsigned integers, and booleans; anything
 // else (floats, null) is rejected. Object keys keep first-wins semantics.
+// Written certificates nest five levels; input nested deeper than
+// kMaxDepth is malformed, so hostile input cannot recurse the parser into
+// a stack overflow.
 //===----------------------------------------------------------------------===//
 
 struct JValue {
@@ -52,8 +55,11 @@ public:
   }
 
 private:
+  static constexpr unsigned kMaxDepth = 32;
+
   const std::string &S;
   size_t Pos = 0;
+  unsigned Depth = 0; ///< Objects and arrays open at Pos.
   std::string Err;
 
   void skipWs() {
@@ -102,10 +108,17 @@ private:
     if (Pos >= S.size())
       return std::nullopt;
     char C = S[Pos];
-    if (C == '{')
-      return object();
-    if (C == '[')
-      return array();
+    if (C == '{' || C == '[') {
+      if (Depth == kMaxDepth) {
+        Err = "nesting deeper than " + std::to_string(kMaxDepth) +
+              " levels at offset " + std::to_string(Pos);
+        return std::nullopt;
+      }
+      ++Depth;
+      std::optional<JValue> V = C == '{' ? object() : array();
+      --Depth;
+      return V;
+    }
     if (C == '"') {
       std::optional<std::string> Str = string();
       if (!Str)

@@ -441,17 +441,17 @@ wire::Message Server::handleCertify(const wire::CertifyRequest &WReq) {
   }
 
   // Reply memo: a fully-certified reply is a pure function of (canonical
-  // request bytes, registry fingerprint, cache directory, wire schema),
+  // request bytes, registry fingerprint, wire schema, cache directory),
   // so the hot path is one digest + map lookup. Degraded or failed
   // replies never enter (the wire-level face of "degraded verdicts are
   // never cached").
   wire::Message CanonMsg;
   CanonMsg.TheKind = wire::Kind::CertifyRequest;
   CanonMsg.Certify = Canon;
-  const uint64_t MemoKey = hash::fnv1a64(
-      wire::encode(CanonMsg),
-      hash::fnv1a64(Opts.CacheDir,
-                    RegistryFingerprint ^ uint64_t(wire::kSchemaVersion)));
+  const uint64_t RequestDigest =
+      hash::fnv1a64(wire::encode(CanonMsg),
+                    RegistryFingerprint ^ uint64_t(wire::kSchemaVersion));
+  const uint64_t MemoKey = hash::fnv1a64(Opts.CacheDir, RequestDigest);
   {
     std::lock_guard<std::mutex> L(MemoMu);
     auto It = MemoIndex.find(MemoKey);
@@ -485,7 +485,10 @@ wire::Message Server::handleCertify(const wire::CertifyRequest &WReq) {
   // else in-process on this connection thread. Both paths are the same
   // runCertify projection, so the replies are byte-identical.
   if (Sup) {
-    const std::string JobKey = DispatchKey + "#" + hash::hex16(MemoKey);
+    // The job key picks fault targets, backoff jitter and crash-report
+    // names, so it leaves the cache directory out: the same request is
+    // the same job in every daemon, whatever directory it caches in.
+    const std::string JobKey = DispatchKey + "#" + hash::hex16(RequestDigest);
     Reply = Sup->runJob(Canon, JobKey);
   } else {
     WorkerConfig Cfg;

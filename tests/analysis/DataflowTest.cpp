@@ -5,11 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Unit tests of the dataflow engine and the three abstract domains on
+// Unit tests of the dataflow engine and the two abstract domains on
 // hand-built bedrock functions: must-intersection joins for definedness,
-// interval edge pruning and loop widening, and the symbolic domain's phi
-// discipline (minting at joins, trivial-phi collapse, fixpoint
-// convergence on loops and loop chains).
+// and the symbolic domain's edge pruning (the analyzer's one reachability
+// decision) and phi discipline (minting at joins, trivial-phi collapse,
+// fixpoint convergence on counted, unbounded, nested and chained loops).
 //
 //===----------------------------------------------------------------------===//
 
@@ -98,68 +98,6 @@ TEST(DataflowTest, InitUnsetKillsDefinedness) {
 }
 
 //===----------------------------------------------------------------------===//
-// IntervalDomain.
-//===----------------------------------------------------------------------===//
-
-TEST(DataflowTest, IntervalPrunesConstantBranch) {
-  // 7 <u 3 is statically false: the then-arm gets no input state at all.
-  Function F = mkFn(seqAll({ifThenElse(bin(BinOp::LtU, lit(7), lit(3)),
-                                       set("x", lit(1)),
-                                       set("x", lit(2))),
-                            set("out", var("x"))}));
-  Cfg G = Cfg::build(F);
-  AbiInfo Abi;
-  IntervalDomain D(G, F, Abi);
-  DataflowResult<IntervalDomain> R = runForward(G, D);
-  ASSERT_TRUE(R.Converged);
-
-  const BasicBlock &E = G.block(G.entry());
-  ASSERT_EQ(E.T, BasicBlock::Term::Branch);
-  EXPECT_FALSE(R.In[E.TrueSucc].has_value()) << "infeasible arm reached";
-  ASSERT_TRUE(R.In[E.FalseSucc].has_value());
-
-  // After the join, x can only be 2.
-  const auto &In = R.In[exitBlock(G)];
-  ASSERT_TRUE(In.has_value());
-  auto It = In->Env.find("x");
-  ASSERT_NE(It, In->Env.end());
-  EXPECT_EQ(It->second, Interval::point(2));
-}
-
-TEST(DataflowTest, IntervalWidensUnboundedCounter) {
-  // A counter with no usable bound forces widening: the ascending chain
-  // [0,0], [0,1], [0,2], ... must not run to the iteration cap.
-  Function F = mkFn(seqAll({set("i", lit(0)),
-                            whileLoop(bin(BinOp::Ne, var("i"), var("n")),
-                                      set("i", add(var("i"), lit(1))))}),
-                    {"n"});
-  Cfg G = Cfg::build(F);
-  AbiInfo Abi;
-  IntervalDomain D(G, F, Abi);
-  DataflowResult<IntervalDomain> R = runForward(G, D);
-  EXPECT_TRUE(R.Converged);
-  EXPECT_LE(R.Iterations, 16u * unsigned(G.blocks().size()));
-}
-
-TEST(DataflowTest, IntervalConvergesOnLoopChain) {
-  // Regression: sequential loops must not multiply visits (restart
-  // cascades). Five loops in a row converge comfortably under the cap.
-  std::vector<CmdPtr> Cmds;
-  for (int L = 0; L < 5; ++L) {
-    std::string I = "i" + std::to_string(L);
-    Cmds.push_back(set(I, lit(0)));
-    Cmds.push_back(whileLoop(bin(BinOp::LtU, var(I), var("n")),
-                             set(I, add(var(I), lit(1)))));
-  }
-  Function F = mkFn(seqAll(std::move(Cmds)), {"n"});
-  Cfg G = Cfg::build(F);
-  AbiInfo Abi;
-  IntervalDomain D(G, F, Abi);
-  DataflowResult<IntervalDomain> R = runForward(G, D);
-  EXPECT_TRUE(R.Converged);
-}
-
-//===----------------------------------------------------------------------===//
 // SymbolicDomain.
 //===----------------------------------------------------------------------===//
 
@@ -242,6 +180,96 @@ TEST(DataflowTest, SymbolicConvergesOnNestedLoops) {
   SymbolicDomain D(G, F, Abi);
   DataflowResult<SymbolicDomain> R = runForward(G, D);
   EXPECT_TRUE(R.Converged);
+}
+
+TEST(DataflowTest, SymbolicPrunesConstantBranch) {
+  // 7 <u 3 is statically false: the then-arm gets no input state at all,
+  // so after the join x can only be 2.
+  Function F = mkFn(seqAll({ifThenElse(bin(BinOp::LtU, lit(7), lit(3)),
+                                       set("x", lit(1)),
+                                       set("x", lit(2))),
+                            set("out", var("x"))}));
+  Cfg G = Cfg::build(F);
+  AbiInfo Abi;
+  SymbolicDomain D(G, F, Abi);
+  DataflowResult<SymbolicDomain> R = runForward(G, D);
+  ASSERT_TRUE(R.Converged);
+
+  const BasicBlock &E = G.block(G.entry());
+  ASSERT_EQ(E.T, BasicBlock::Term::Branch);
+  EXPECT_FALSE(R.In[E.TrueSucc].has_value()) << "infeasible arm reached";
+  ASSERT_TRUE(R.In[E.FalseSucc].has_value());
+
+  const auto &In = R.In[exitBlock(G)];
+  ASSERT_TRUE(In.has_value());
+  auto It = In->Env.find("x");
+  ASSERT_NE(It, In->Env.end());
+  EXPECT_EQ(It->second.T.str(), solver::lc(2).str());
+}
+
+TEST(DataflowTest, SymbolicPrunesMaskedIndexElseArm) {
+  // (x & 255) <u 256 always holds: the `x & y <= y` fact bounds the mask
+  // by 255, so the else-arm's refinement (mask >= 256) is inconsistent.
+  Function F = mkFn(
+      seqAll({ifThenElse(bin(BinOp::LtU,
+                             bin(BinOp::And, var("x"), lit(255)), lit(256)),
+                         set("y", lit(1)), set("y", lit(2))),
+              set("out", var("y"))}),
+      {"x"});
+  Cfg G = Cfg::build(F);
+  AbiInfo Abi;
+  SymbolicDomain D(G, F, Abi);
+  DataflowResult<SymbolicDomain> R = runForward(G, D);
+  ASSERT_TRUE(R.Converged);
+
+  const BasicBlock &E = G.block(G.entry());
+  ASSERT_EQ(E.T, BasicBlock::Term::Branch);
+  EXPECT_TRUE(R.In[E.TrueSucc].has_value());
+  EXPECT_FALSE(R.In[E.FalseSucc].has_value()) << "infeasible arm reached";
+
+  const auto &In = R.In[exitBlock(G)];
+  ASSERT_TRUE(In.has_value());
+  auto It = In->Env.find("y");
+  ASSERT_NE(It, In->Env.end());
+  EXPECT_EQ(It->second.T.str(), solver::lc(1).str());
+}
+
+TEST(DataflowTest, SymbolicConvergesOnUnboundedCounter) {
+  // A counter with no usable bound: i + 1 cannot be proved not to wrap, so
+  // the body yields an opaque site-keyed symbol. The header's phi must
+  // absorb it instead of growing a new value on every visit.
+  Function F = mkFn(seqAll({set("i", lit(0)),
+                            whileLoop(bin(BinOp::Ne, var("i"), var("n")),
+                                      set("i", add(var("i"), lit(1))))}),
+                    {"n"});
+  Cfg G = Cfg::build(F);
+  AbiInfo Abi;
+  SymbolicDomain D(G, F, Abi);
+  DataflowResult<SymbolicDomain> R = runForward(G, D);
+  EXPECT_TRUE(R.Converged);
+  EXPECT_LE(R.Iterations, 16u * unsigned(G.blocks().size()));
+}
+
+TEST(DataflowTest, SymbolicConvergesOnLoopChain) {
+  // Regression: a changed loop entry restarts the loop, and each loop's
+  // exit state is the next loop's entry; the restarts must not cascade
+  // into visits that multiply along the chain. Five counted loops in a
+  // row converge comfortably under the cap.
+  std::vector<CmdPtr> Cmds;
+  for (int L = 0; L < 5; ++L) {
+    std::string I = "i" + std::to_string(L);
+    Cmds.push_back(set(I, lit(0)));
+    Cmds.push_back(whileLoop(bin(BinOp::LtU, var(I), var("len")),
+                             set(I, add(var(I), lit(1)))));
+  }
+  Function F = mkFn(seqAll(std::move(Cmds)), {"s", "len"});
+  Cfg G = Cfg::build(F);
+  AbiInfo Abi = byteArrayAbi();
+  SymbolicDomain D(G, F, Abi);
+  DataflowResult<SymbolicDomain> R = runForward(G, D);
+  EXPECT_TRUE(R.Converged);
+  EXPECT_LE(R.Iterations, 8u * unsigned(G.blocks().size()));
+  EXPECT_TRUE(R.In[exitBlock(G)].has_value());
 }
 
 TEST(DataflowTest, SymbolicEdgeRefinementProvesGuard) {

@@ -7,8 +7,8 @@
 //
 // cert::Writer and cert::Reader against each other: a v2 certificate
 // survives a write/parse roundtrip field-for-field; legacy v1 files,
-// malformed text, and any other schema version are rejected with the
-// right named reason.
+// malformed or too deeply nested text, and any other schema version are
+// rejected with the right named reason.
 //
 //===----------------------------------------------------------------------===//
 
@@ -223,6 +223,31 @@ TEST(CertIoTest, MalformedInputsAreMalformed) {
     EXPECT_FALSE(cert::Reader::parse(Text, &Err).has_value()) << Text;
     EXPECT_EQ(Err.Why, cert::Reject::MalformedCertificate) << Text;
   }
+}
+
+TEST(CertIoTest, DeepNestingIsMalformedNotACrash) {
+  // Two million unclosed brackets: the parser must refuse at its depth cap
+  // and name the offset, not recurse until the stack runs out.
+  cert::ReadError Err;
+  EXPECT_FALSE(
+      cert::Reader::parse(std::string(2000000, '['), &Err).has_value());
+  EXPECT_EQ(Err.Why, cert::Reject::MalformedCertificate);
+  EXPECT_EQ(Err.Detail, "nesting deeper than 32 levels at offset 32");
+
+  // The cap counts objects and arrays alike, and 32 levels still parse
+  // (into a value that is not a certificate).
+  std::string Objects;
+  for (int I = 0; I < 33; ++I)
+    Objects += "{\"a\": ";
+  EXPECT_FALSE(cert::Reader::parse(Objects, &Err).has_value());
+  EXPECT_EQ(Err.Why, cert::Reject::MalformedCertificate);
+  EXPECT_NE(Err.Detail.find("nesting deeper than 32 levels"),
+            std::string::npos)
+      << Err.Detail;
+  EXPECT_FALSE(cert::Reader::parse(std::string(32, '[') + std::string(32, ']'),
+                                   &Err)
+                   .has_value());
+  EXPECT_EQ(Err.Detail, "certificate is not a JSON object");
 }
 
 TEST(CertIoTest, TruncatedWriterOutputIsMalformed) {

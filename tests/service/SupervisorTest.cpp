@@ -686,6 +686,52 @@ TEST(SupervisorTest, WorkerFaultMatrixAbsorbedOrNamed) {
 }
 
 //===----------------------------------------------------------------------===//
+// Fault targets follow the request, not the daemon: the worker job key
+// leaves out the cache directory, which these tests name by process id.
+//===----------------------------------------------------------------------===//
+
+TEST(SupervisorTest, FaultTargetsDoNotDependOnTheCacheDirectory) {
+  // The same p-targeted persistent crash clause and the same cold
+  // requests against two daemons with different cache directories: the
+  // same requests degrade in both, and the clause picks some, not all.
+  constexpr unsigned Requests = 12;
+  auto DegradedRequests = [](const std::string &Tag) {
+    TempPaths P(Tag);
+    Server Srv(workerOptions(P, 1, 1));
+    std::vector<unsigned> Degraded;
+    if (!Srv.start()) {
+      ADD_FAILURE() << "daemon did not start";
+      return Degraded;
+    }
+    fault::ScopedFaults Faults("svc-worker-crash:persistent:p=0.5:seed=3");
+    Client C;
+    EXPECT_TRUE(bool(C.connect(P.Sock)));
+    for (unsigned I = 0; I < Requests; ++I) {
+      Result<wire::Message> R =
+          C.roundTrip(certifyMsg({"fnv1a"}, 2000000000 + I), 60000);
+      if (!R) {
+        ADD_FAILURE() << "request " << I << " lost";
+        continue;
+      }
+      if (R->TheKind == wire::Kind::ErrorReply) {
+        EXPECT_EQ(R->Error.Reason, "worker-retries-exhausted");
+        Degraded.push_back(I);
+      } else {
+        EXPECT_EQ(R->Reply.Exit, 0);
+      }
+    }
+    Srv.requestStop();
+    Srv.wait();
+    return Degraded;
+  };
+  std::vector<unsigned> A = DegradedRequests("jobkey-a");
+  std::vector<unsigned> B = DegradedRequests("jobkey-b");
+  EXPECT_EQ(A, B);
+  EXPECT_FALSE(A.empty());
+  EXPECT_LT(A.size(), Requests);
+}
+
+//===----------------------------------------------------------------------===//
 // The chaos soak: concurrent clients under SIGKILL/SIGSEGV injection.
 // Contract: every request resolves as ok-or-named-degraded, zero daemon
 // deaths or hangs, and a surviving certificate passes the independent
@@ -702,8 +748,8 @@ TEST(SupervisorTest, ChaosSoakOkOrNamedDegradedNeverLost) {
   // Two clauses on the crash site: ~35% of job keys lose their first
   // attempt to SIGKILL and heal (the retry allowance must absorb every
   // one), and a disjoint ~6% are SIGSEGV'd on every attempt (those must
-  // degrade by name). Keys are deterministic, so the soak is seeded
-  // chaos, not flake.
+  // degrade by name). Job keys depend on the request alone, so the seeds
+  // pick the same victims on every run: seeded chaos, not flake.
   fault::ScopedFaults Faults(
       "svc-worker-crash:transient:n=1:p=0.35:seed=7,"
       "svc-worker-crash:persistent:p=0.06:seed=13:v=11");

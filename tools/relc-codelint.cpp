@@ -16,8 +16,8 @@
 // unsafe):
 //
 //   mem    every load/store provably lands inside a region the fnspec
-//          frame owns (interval + points-to domains, offsets re-checked
-//          through the linear-arithmetic solver)
+//          frame owns (the symbolic replay shared with the static
+//          analyzer, offsets proved by the linear-arithmetic solver)
 //   stack  a static worst-case locals + stackalloc footprint (and, for
 //          stackm programs, the exact max operand-stack depth)
 //   steps  a symbolic step envelope: per-iteration cost times a proved
