@@ -406,7 +406,7 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
           O.CodelintVerdictName = codelint::verdictName(O.ClReport.overall());
           // The pipeline gate is refutation-shaped: only a demonstrated
           // violation (Unsafe) fails certification. Unknown passes here —
-          // the strict all-Safe gate is relc-lint --code.
+          // the strict all-Safe gate is relc-codelint.
           O.Codelint.Ok = O.ClReport.overall() != codelint::Verdict::Unsafe;
           O.Codelint.Degraded = O.ClReport.BudgetExhausted;
           O.Codelint.Ran = true;

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The certification sequencer: the one place that puts the five layers
-// in order, for relc-gen, relc-lint, relcd, and every test and example
-// that certifies a program. For each program, a dependency-aware job
-// chain
+// in order, for relc-gen, relc-lint, relc-codelint, relcd, and every
+// test and example that certifies a program. For each program, a
+// dependency-aware job chain
 //
 //     compile ──> { derivation replay, static analysis + codelint,
 //                   translation validation } (independent once code exists)
@@ -63,7 +63,7 @@ struct PipelineOptions {
                             ///< (memory safety, stack bound, step bound).
                             ///< An Unsafe verdict fails the program; Unknown
                             ///< passes here (the strict Safe gate is
-                            ///< relc-lint --code). When the layer completes
+                            ///< relc-codelint). When the layer completes
                             ///< un-degraded its record is embedded as the
                             ///< certificate's "codelint" section.
 

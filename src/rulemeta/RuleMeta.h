@@ -67,7 +67,7 @@ const char *reasonName(Reason R);
 
 /// One analyzer finding. Everything the analyzer reports is gating: a
 /// finding means the registry (or a witness against it) is not trustworthy
-/// as-is, and relc-rulint / relc-lint --rules exit nonzero on any.
+/// as-is, and relc-rulint exits nonzero on any.
 struct Finding {
   Reason Why;
   /// The offending rule's name, or the uncovered construct's matrix row

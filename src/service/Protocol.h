@@ -95,8 +95,8 @@ struct CertifyRequest {
   bool Tv = true;
   bool Codelint = true;
   bool KeepGoing = false;
-  bool WantCertJson = true; ///< --cert-format json|auto
-  bool WantCertBin = true;  ///< --cert-format bin|auto
+  bool WantCertJson = true; ///< Reply carries the .tv.json face.
+  bool WantCertBin = true;  ///< Reply carries the .certbin face.
   uint32_t LayerTimeoutMs = 0; ///< 0 = accept the server default.
   uint64_t TvStepBudget = 0;   ///< 0 = accept the server default.
 };

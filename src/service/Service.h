@@ -63,7 +63,7 @@ struct Request {
   uint64_t TvStepBudget = 0;
   bool KeepGoing = false; ///< Classify degraded-only failures as exit 3.
 
-  // Artifact selection — the in-process face of --cert-format.
+  // Artifact selection: which certificate faces the reply carries.
   bool WantCertJson = true; ///< Fill ProgramReply::CertJson.
   bool WantCertBin = true;  ///< Fill ProgramReply::CertBin.
   bool EmitC = false;       ///< Fill ProgramReply::CCode + Response::CHeader.

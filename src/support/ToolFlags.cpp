@@ -14,17 +14,11 @@
 namespace relc {
 namespace cl {
 
-void addCacheDirFlags(OptionTable &T, CacheDirFlags &F, bool Consults) {
+void addCacheDirFlags(OptionTable &T, CacheDirFlags &F) {
   T.str({"-cache-dir"}, &F.Dir, "<dir>",
-        Consults ? "certificate cache directory (default:\n"
-                   "$RELC_CACHE_DIR when set, else .relc-cache)"
-                 : "certificate cache directory; accepted for\n"
-                   "cross-tool uniformity ($RELC_CACHE_DIR), but\n"
-                   "this tool's verdicts never consult the cache");
-  T.flag({"-no-cache"}, &F.NoCache,
-         Consults ? "disable the certificate cache"
-                  : "disable the certificate cache (accepted for\n"
-                    "cross-tool uniformity; see -cache-dir)");
+        "certificate cache directory (default:\n"
+        "$RELC_CACHE_DIR when set, else .relc-cache)");
+  T.flag({"-no-cache"}, &F.NoCache, "disable the certificate cache");
 }
 
 std::string resolveCacheDir(const CacheDirFlags &F) {

@@ -5,9 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The flag tables every relc tool shares, factored out of relc-gen so
-// relc-lint, relc-check, and relcd register the *same* spellings, help
-// text, and semantics instead of re-rolling them per tool:
+// The flag tables the relc tools share, factored out of relc-gen so
+// relc-lint and relcd register the *same* spellings, help text, and
+// semantics instead of re-rolling them per tool:
 //
 //   - the certificate-cache directory (-cache-dir / -no-cache), with one
 //     documented precedence rule implemented in resolveCacheDir();
@@ -19,12 +19,10 @@
 //
 //   -no-cache  >  -cache-dir <dir>  >  $RELC_CACHE_DIR  >  .relc-cache
 //
-// Every tool resolves the same way, so one exported RELC_CACHE_DIR moves
-// the cache for relc-gen, relcd, and anything else that persists
-// verdicts. Tools whose verdicts never touch the cache (relc-lint,
-// relc-check) still accept the flags — a uniform CLI means one wrapper
-// script or environment works across the whole toolbox — and say so in
-// their help text.
+// Every tool that persists verdicts resolves the same way, so one
+// exported RELC_CACHE_DIR moves the cache for relc-gen and relcd. Tools
+// whose verdicts never touch the cache (relc-lint, relc-check) do not
+// take the flags.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +44,8 @@ struct CacheDirFlags {
 };
 
 /// Registers -cache-dir and -no-cache on \p T, writing into \p F (whose
-/// lifetime must cover parsing). \p Consults states whether the tool's
-/// own verdicts use the cache; when false the help text says the flags
-/// are accepted only for cross-tool uniformity.
-void addCacheDirFlags(OptionTable &T, CacheDirFlags &F, bool Consults = true);
+/// lifetime must cover parsing).
+void addCacheDirFlags(OptionTable &T, CacheDirFlags &F);
 
 /// The one precedence rule: -no-cache > -cache-dir > $RELC_CACHE_DIR >
 /// ".relc-cache". Returns the directory to use, or "" when caching is

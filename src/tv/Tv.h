@@ -98,7 +98,7 @@ struct TvReport {
   bool proved() const { return TheVerdict == Verdict::Proved; }
   bool refuted() const { return TheVerdict == Verdict::Refuted; }
 
-  /// Human-readable report (relc-gen -tv-report, relc-lint).
+  /// Human-readable report (relc-lint).
   /// (The machine-readable certificate is no longer assembled here: build
   /// it with cert::fromTvReport and serialize with cert::Writer.)
   std::string str() const;

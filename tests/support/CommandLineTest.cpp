@@ -219,12 +219,12 @@ TEST(CommandLineTest, EqualsOnUnknownOptionStillSuggests) {
 }
 
 //===----------------------------------------------------------------------===//
-// Typo suggestions for the relc-lint metatheory flags.
+// Typo suggestions between two flags that share a prefix.
 //===----------------------------------------------------------------------===//
 
 TEST(CommandLineTest, TypoSuggestionForRulesFlags) {
-  // Mirror of the relc-lint table: misspelling -rules or -rulint-report
-  // must point at the real flag.
+  // Two flags whose names share a prefix: misspelling -rules or
+  // -rulint-report must point at the real flag, not at its neighbour.
   bool Rules = false, RulintReport = false;
   cl::OptionTable T{"relc-lint", "overview"};
   T.flag({"-rules"}, &Rules, "metatheory gate");
@@ -241,12 +241,12 @@ TEST(CommandLineTest, TypoSuggestionForRulesFlags) {
 }
 
 //===----------------------------------------------------------------------===//
-// choice(): the enumerated option behind --cert-format.
+// choice(): the enumerated option behind relc-check's --cert-format.
 //===----------------------------------------------------------------------===//
 
 struct ChoiceFixture {
   std::string Format = "auto";
-  cl::OptionTable T{"relc-gen", "overview"};
+  cl::OptionTable T{"relc-check", "overview"};
   ChoiceFixture() {
     T.choice({"-cert-format"}, &Format, {"json", "bin", "auto"}, "<fmt>",
              "certificate format");
@@ -474,12 +474,6 @@ TEST(CommandLineTest, CacheDirFlagsParseBothSpellings) {
             cl::ParseResult::Ok);
   EXPECT_EQ(F.Dir, "/tmp/c");
   EXPECT_TRUE(F.NoCache);
-  // The non-consulting variant still registers the same spellings but
-  // says so in its help text.
-  cl::CacheDirFlags G;
-  cl::OptionTable U{"relc-check", "overview"};
-  cl::addCacheDirFlags(U, G, /*Consults=*/false);
-  EXPECT_NE(U.helpText().find("never consult the cache"), std::string::npos);
 }
 
 TEST(CommandLineTest, BudgetFlagsParse) {

@@ -13,6 +13,12 @@
 // and output channels. A certificate that is missing, malformed, stale,
 // tampered with, or simply wrong is rejected with a named reason.
 //
+// It is the one tool that audits on-disk certificates. -cert-format
+// picks the face: 'json' reads <name>.tv.json, 'bin' reads
+// <name>.certbin, and 'auto' (the default) reads the binary image when
+// one is present — a present-but-invalid image is a rejection, never a
+// fallback to the JSON beside it.
+//
 // Deliberately NOT linked against the TV driver (tv/Tv.cpp): the checker
 // must not be able to "ask the producer" — everything it accepts, it
 // re-derived itself through the term-graph normalizer. CI asserts the
@@ -28,7 +34,6 @@
 #include "relc/Cert.h"
 #include "relc/Check.h"
 #include "support/CommandLine.h"
-#include "support/ToolFlags.h"
 
 #include <cstdio>
 #include <fstream>
@@ -41,7 +46,6 @@ int main(int argc, char **argv) {
   std::string CertsDir = "generated";
   std::string CertFormat = "auto";
   bool Quiet = false;
-  cl::CacheDirFlags Cache;
   std::vector<const programs::ProgramDef *> Targets;
   std::string PosErr;
 
@@ -66,10 +70,6 @@ int main(int argc, char **argv) {
            "rejection, never a silent fallback)\n"
            "(default: auto)");
   T.flag({"-q"}, &Quiet, "print only rejections and the final summary");
-  // Cross-tool uniformity (support/ToolFlags.h): the checker accepts the
-  // cache flags but its acceptances never come from a cache — everything
-  // it accepts, it re-derived itself.
-  cl::addCacheDirFlags(T, Cache, /*Consults=*/false);
   T.positional("program", "check only the named programs (default: all)",
                [&Targets](const std::string &A, std::string *Err) {
                  const programs::ProgramDef *P = programs::findProgram(A);

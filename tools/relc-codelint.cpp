@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The standalone face of relc::codelint (DESIGN.md §4.9): abstract
+// The one command-line gate of relc::codelint (DESIGN.md §4.9): abstract
 // interpretation over the *emitted* target code. Where relc-lint's
 // analysis gate inspects the source model and relc-check audits the
 // derivation certificate, this tool asks a question neither answers —
@@ -84,7 +84,7 @@ int main(int argc, char **argv) {
   }
 
   // The suite programs go through the certification pipeline with only
-  // the codelint layer on, as relc-lint -code runs them.
+  // the codelint layer on.
   service::Request Req;
   Req.Programs = Names; // empty = the whole registered suite
   Req.Validate = false;

@@ -9,9 +9,13 @@
 // benchmark program with the relational compiler, certifies the results
 // (derivation replay, static analysis, translation validation, target-side
 // codelint, differential testing — see pipeline/Pipeline.h), and emits the
-// certified C into an output directory (consumed by the Figure 2 bench at
-// build time). With -print-bedrock or -print-deriv it dumps the
-// intermediate artifacts instead.
+// certified C plus both faces of each program's equivalence certificate
+// (<name>.tv.json and <name>.certbin) into an output directory (consumed
+// by the Figure 2 bench at build time). Every run certifies through all
+// five layers; there is no flag that skips one, so the "certified" header
+// of every emitted .c file is true of the run that wrote it. The full
+// analysis and TV reports are relc-lint's output; -print-bedrock and
+// -print-deriv also dump the intermediate artifacts.
 //
 // Since the relcd daemon landed, this tool is a thin presenter over the
 // one audited request/response surface (service::certify via
@@ -66,10 +70,7 @@ using namespace relc;
 int main(int argc, char **argv) {
   std::string OutDir = "generated";
   std::string Only;
-  std::string CertFormat = "auto";
-  bool PrintBedrock = false, PrintDeriv = false, NoValidate = false;
-  bool NoAnalyze = false, AnalysisReport = false;
-  bool NoTv = false, TvReport = false;
+  bool PrintBedrock = false, PrintDeriv = false;
   bool KeepGoing = false;
   unsigned Jobs = 1;
   cl::CacheDirFlags Cache;
@@ -87,32 +88,13 @@ int main(int argc, char **argv) {
       "relc-gen",
       "Compiles the registered benchmark programs, certifies each result\n"
       "(derivation replay, static analysis, translation validation,\n"
-      "differential testing), and writes the certified C plus the\n"
-      "per-program .tv.json equivalence certificates to the output\n"
-      "directory.");
+      "codelint, differential testing), and writes the certified C plus\n"
+      "the per-program .tv.json and .certbin equivalence certificates to\n"
+      "the output directory.");
   T.str({"-out"}, &OutDir, "<dir>", "output directory (default: generated)");
   T.str({"-only"}, &Only, "<name>", "process only the named program");
   T.flag({"-print-bedrock"}, &PrintBedrock, "dump the generated Bedrock2 code");
   T.flag({"-print-deriv"}, &PrintDeriv, "dump the derivation witness");
-  T.flag({"-no-validate"}, &NoValidate,
-         "skip derivation replay and differential\n"
-         "certification (layers 1 and 4)");
-  T.flag({"-no-analyze"}, &NoAnalyze,
-         "skip the standalone static-analysis gate");
-  T.flag({"-analysis-report"}, &AnalysisReport,
-         "print each program's full analysis report\n"
-         "(forces live certification; disables the cache)");
-  T.flag({"-no-tv"}, &NoTv,
-         "skip the standalone translation-validation\n"
-         "gate (and the .tv.json certificates)");
-  T.choice({"-cert-format"}, &CertFormat, {"json", "bin", "auto"}, "<fmt>",
-           "which certificate artifacts to write:\n"
-           "'json' = canonical .tv.json only, 'bin' =\n"
-           "binary .certbin only, 'auto' = both\n"
-           "(default: auto)");
-  T.flag({"-tv-report"}, &TvReport,
-         "print each program's full TV match trace\n"
-         "(forces live certification; disables the cache)");
   cl::addJobsFlag(T, Jobs, "certification");
   cl::addCacheDirFlags(T, Cache);
   cl::addBudgetFlags(T, Budgets);
@@ -131,8 +113,6 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  bool Validate = !NoValidate, Analyze = !NoAnalyze, Tv = !NoTv;
-
   std::error_code EC;
   std::filesystem::create_directories(OutDir, EC);
   if (EC) {
@@ -145,20 +125,10 @@ int main(int argc, char **argv) {
   if (!Only.empty())
     R.Programs.push_back(Only);
   R.Jobs = Jobs;
-  // The full-report flags need the live analysis / TV reports, which a
-  // cached verdict cannot reproduce — force live certification.
-  if (!AnalysisReport && !TvReport)
-    R.CacheDir = cl::resolveCacheDir(Cache);
-  R.Validate = Validate;
-  // With validation on, analysis and TV always run as layers 2 and 3;
-  // -no-analyze / -no-tv only control the standalone gates below.
-  R.Analyze = Analyze || Validate;
-  R.Tv = Tv || Validate;
+  R.CacheDir = cl::resolveCacheDir(Cache);
   R.LayerTimeoutMs = Budgets.LayerTimeoutMs;
   R.TvStepBudget = Budgets.TvStepBudget;
   R.KeepGoing = KeepGoing;
-  R.WantCertJson = CertFormat != "bin";
-  R.WantCertBin = CertFormat != "json";
   R.EmitC = true;
 
   service::Response Resp = service::certify(R);
@@ -216,76 +186,54 @@ int main(int argc, char **argv) {
                    O.CompileError.c_str());
       continue;
     }
-    // Layer failures under -validate carry the full note chain the
-    // pipeline renders: the layer's diagnostic, the layer, the program.
-    if (Validate && !O.ValidationError.empty()) {
+    // Layer failures carry the full note chain the pipeline renders: the
+    // layer's diagnostic, the layer, the program.
+    if (!O.ValidationError.empty()) {
       std::fprintf(stderr, "[%s] FAILED:\n%s\n", P.Name.c_str(),
                    O.ValidationError.c_str());
       continue;
     }
 
     std::printf("[%s] ok: %u source bindings -> %u target statements, "
-                "derivation of %u rule applications, %u side conditions%s\n",
+                "derivation of %u rule applications, %u side conditions, "
+                "validated\n",
                 P.Name.c_str(), O.Compiled.SourceBindings,
                 O.Compiled.EmittedStmts, O.Compiled.Proof->size(),
-                O.Compiled.Proof->countSideConds(),
-                Validate ? ", validated" : "");
+                O.Compiled.Proof->countSideConds());
 
-    if (Analyze) {
-      if (AnalysisReport) {
-        std::printf("%s", O.AReport.str().c_str());
-      } else if (!O.AnalysisDiags.empty()) {
-        std::istringstream Diags(O.AnalysisDiags);
-        std::string Line;
-        while (std::getline(Diags, Line))
-          std::fprintf(stderr, "[%s] %s\n", P.Name.c_str(), Line.c_str());
-      }
-      if (!O.Analysis.Ok) {
-        std::fprintf(stderr,
-                     "[%s] FAILED: static analysis found %u error(s)\n",
-                     P.Name.c_str(), O.AReport.numErrors());
-        continue;
-      }
+    if (!O.AnalysisDiags.empty()) {
+      std::istringstream Diags(O.AnalysisDiags);
+      std::string Line;
+      while (std::getline(Diags, Line))
+        std::fprintf(stderr, "[%s] %s\n", P.Name.c_str(), Line.c_str());
+    }
+    if (!O.Analysis.Ok) {
+      std::fprintf(stderr, "[%s] FAILED: static analysis found %u error(s)\n",
+                   P.Name.c_str(), O.AReport.numErrors());
+      continue;
     }
 
-    if (Tv) {
-      if (TvReport)
-        std::printf("%s", O.TvRep.str().c_str());
-      else
-        std::printf("[%s] tv: %s (%zu loops, %u terms)\n", P.Name.c_str(),
-                    O.TvVerdictName.c_str(), size_t(O.TvLoops),
-                    unsigned(O.TvTerms));
-      if (!O.Tv.Ok) {
-        std::fprintf(stderr, "[%s] FAILED: translation validation refuted "
-                             "the compilation:\n%s",
-                     P.Name.c_str(), O.TvRep.str().c_str());
-        continue;
-      }
-      // Certificate artifacts, per --cert-format: the canonical JSON, the
-      // binary image, or (auto) both. Both encode the same Certificate and
-      // rederive identically under relc-check — and both are exactly the
-      // bytes relcd puts on the wire for this program.
-      if (CertFormat != "bin")
-        WriteArtifact(Who, OutDir + "/" + P.Name + ".tv.json",
-                      PR.CertJson);
-      if (CertFormat != "json")
-        WriteArtifact(Who, OutDir + "/" + P.Name + cert::kBinExtension,
-                      PR.CertBin);
+    std::printf("[%s] tv: %s (%zu loops, %u terms)\n", P.Name.c_str(),
+                O.TvVerdictName.c_str(), size_t(O.TvLoops),
+                unsigned(O.TvTerms));
+    if (!O.Tv.Ok) {
+      std::fprintf(stderr, "[%s] FAILED: translation validation refuted "
+                           "the compilation:\n%s",
+                   P.Name.c_str(), O.TvRep.str().c_str());
+      continue;
     }
+    // Both certificate faces: they encode the same Certificate and
+    // rederive identically under relc-check — and both are exactly the
+    // bytes relcd puts on the wire for this program.
+    WriteArtifact(Who, OutDir + "/" + P.Name + ".tv.json", PR.CertJson);
+    WriteArtifact(Who, OutDir + "/" + P.Name + cert::kBinExtension,
+                  PR.CertBin);
 
     // Target-side codelint verdict: one deterministic line, reproducible
     // from the cache (a warm run replays the stored verdict name).
     if (!O.CodelintVerdictName.empty())
       std::printf("[%s] codelint: %s\n", P.Name.c_str(),
                   O.CodelintVerdictName.c_str());
-    if (O.Codelint.Enabled && (O.Codelint.Ran || O.Codelint.FromCache) &&
-        !O.Codelint.Ok) {
-      // Only reachable with -no-validate (layer 4 otherwise renders the
-      // failure into ValidationError, caught above).
-      std::fprintf(stderr, "[%s] FAILED:\n%s\n", P.Name.c_str(),
-                   O.ValidationError.c_str());
-      continue;
-    }
 
     // Certified, but some layer only got a truncated run (e.g. TV hit its
     // step budget and fell through to differential): say so, emit the C

@@ -19,49 +19,27 @@
 // semantically drifts it from the model fails the test suite even when
 // the sampled differential vectors happen to pass.
 //
-// With -certs <dir> the gate additionally audits the on-disk equivalence
-// certificates: each linted program's <dir>/<name>.tv.json must exist,
-// parse, and pass cert::Rederive's independent re-derivation against the
-// freshly compiled code. A missing certificate is a named
-// "missing-certificate" diagnostic, not a silent pass — an empty or
-// absent certificate directory fails the gate.
+// The other gates have one tool each: relc-codelint (the emitted code's
+// Safe verdicts), relc-rulint (the rule database) and relc-check (the
+// on-disk certificates).
 //
 // -j N runs programs (and their analysis/TV layers) concurrently on the
 // job-graph scheduler; reports are buffered per program and printed in
 // argument order, so every -j produces byte-identical output. The lint
 // gate always certifies live (never the certificate cache): its job is
-// producing fresh full reports; -cache-dir/-no-cache are accepted for
-// cross-tool flag uniformity only. Flags accept both - and -- forms.
-//
-// With -rules the gate additionally runs the rule-metatheory analyses
-// (relc::rulemeta, same findings as relc-rulint): registry-level
-// shadowing/coverage/dead-rule/termination checks plus each linted
-// program's derivation witness replayed against the live registry. Every
-// finding counts as a diagnostic.
-//
-// With -code the gate additionally runs the target-side codelint analyses
-// (relc::codelint) over each program's emitted code and demands the strict
-// verdict: every program must come out *Safe* on all three analyses
-// (memory safety, stack bound, step bound). Unknown — which the
-// certification pipeline tolerates as "not refuted" — is a diagnostic
-// here, the same tightening the TV gate applies to Inconclusive.
+// producing fresh full reports. Flags accept both - and -- forms.
 //
 // The final summary line names every enabled gate
-// ("relc-lint: gates [analysis+tv+...]: ...") so logs show at a glance
-// what a clean run actually checked.
+// ("relc-lint: gates [analysis+tv]: ...") so logs show at a glance what
+// a clean run actually checked.
 //
-// Usage: relc-lint [-q] [-no-tv] [-rules] [-certs <dir>] [-code] [-j <n>]
-//                  [<program>...]
+// Usage: relc-lint [-q] [-no-tv] [-j <n>] [<program>...]
 //
 //===----------------------------------------------------------------------===//
 
 #include "programs/Programs.h"
-#include "relc/Cert.h"
 #include "relc/Certify.h"
-#include "relc/Check.h"
-#include "rulemeta/RuleMeta.h"
 #include "support/CommandLine.h"
-#include "support/Hash.h"
 #include "support/ToolFlags.h"
 
 #include <cstdio>
@@ -71,11 +49,8 @@
 using namespace relc;
 
 int main(int argc, char **argv) {
-  bool Quiet = false, NoTv = false, Rules = false, RulintReport = false;
-  bool Code = false;
-  std::string CertsDir;
+  bool Quiet = false, NoTv = false;
   unsigned Jobs = 1;
-  cl::CacheDirFlags Cache;
   std::vector<std::string> Names;
 
   cl::OptionTable T(
@@ -87,25 +62,7 @@ int main(int argc, char **argv) {
       "registered program.");
   T.flag({"-q"}, &Quiet, "print reports only for programs with findings");
   T.flag({"-no-tv"}, &NoTv, "skip the translation-validation gate");
-  T.flag({"-rules"}, &Rules,
-         "also run the rule-metatheory analyses (relc-rulint):\n"
-         "shadowed/overlapping/dead rules, uncovered constructs,\n"
-         "the termination audit, and each linted program's\n"
-         "derivation replayed against the live registry; every\n"
-         "finding is a diagnostic");
-  T.flag({"-rulint-report"}, &RulintReport,
-         "with -rules, print the registry summary (rule counts\n"
-         "and fingerprint) even when clean");
-  T.flag({"-code"}, &Code,
-         "also run the target-side codelint analyses (memory\n"
-         "safety, stack bound, step bound) over the emitted code;\n"
-         "any verdict below Safe — including Unknown — is a\n"
-         "diagnostic");
-  T.str({"-certs"}, &CertsDir, "<dir>",
-        "also audit each program's on-disk certificate in <dir>;\n"
-        "a missing or rejected certificate is a diagnostic");
   cl::addJobsFlag(T, Jobs, "lint");
-  cl::addCacheDirFlags(T, Cache, /*Consults=*/false);
   T.positional("program", "lint only the named programs (default: all)",
                [&Names](const std::string &A, std::string *Err) {
                  if (!programs::findProgram(A)) {
@@ -132,7 +89,7 @@ int main(int argc, char **argv) {
   Req.Validate = false; // Compile only; validation is the other layers' job.
   Req.Analyze = true;
   Req.Tv = Tv;
-  Req.Codelint = Code;
+  Req.Codelint = false; // relc-codelint is the emitted-code gate.
   // No cache (Req.CacheDir stays ""): the gate's job is fresh full
   // reports.
 
@@ -146,24 +103,6 @@ int main(int argc, char **argv) {
 
   unsigned TotalDiags = 0;
 
-  // -rules: the metatheory gate. Registry-level analyses run once; the
-  // per-program derivation audit reuses the freshly compiled witnesses.
-  core::RuleSet RuleRS;
-  core::ExprRuleSet RuleES;
-  if (Rules) {
-    core::registerStandardRules(RuleRS);
-    core::registerStandardExprRules(RuleES);
-    rulemeta::Report R = rulemeta::analyzeRegistry(RuleRS, RuleES);
-    for (const rulemeta::Finding &F : R.Findings)
-      std::fprintf(stderr, "[registry] %s\n", F.str().c_str());
-    TotalDiags += unsigned(R.Findings.size());
-    if (RulintReport && R.clean())
-      std::printf("registry clean: %zu statement rules, %zu expression "
-                  "rules, fingerprint %s\n",
-                  RuleRS.size(), RuleES.size(),
-                  hash::hex16(core::standardRegistryFingerprint()).c_str());
-  }
-
   for (const service::ProgramReply &PR : Resp.Programs) {
     const pipeline::ProgramOutcome &O = PR.Outcome;
     if (!O.CompileOk) {
@@ -175,65 +114,17 @@ int main(int argc, char **argv) {
       std::printf("%s", O.AReport.str().c_str());
     TotalDiags += unsigned(O.AReport.Diags.size());
 
-    if (Rules) {
-      rulemeta::Report Audit = rulemeta::auditDerivation(
-          O.Def->Model, O.Def->Spec, *O.Compiled.Proof, RuleRS);
-      for (const rulemeta::Finding &F : Audit.Findings)
-        std::fprintf(stderr, "[%s] %s\n", O.Def->Name.c_str(),
-                     F.str().c_str());
-      TotalDiags += unsigned(Audit.Findings.size());
-    }
-
     if (Tv) {
       if (!Quiet || !O.TvRep.proved())
         std::printf("%s", O.TvRep.str().c_str());
       if (!O.TvRep.proved()) // Strict gate: the suite must prove, not just
         ++TotalDiags;        // fail-to-refute.
     }
-
-    if (Code) {
-      bool Safe = O.ClReport.overall() == codelint::Verdict::Safe;
-      if (!Quiet || !Safe)
-        std::printf("%s", O.ClReport.str().c_str());
-      if (!Safe) // Strict gate: Unknown is a regression too — every suite
-        ++TotalDiags; // program lies inside the analyzable fragment.
-    }
-
-    if (!CertsDir.empty()) {
-      const programs::ProgramDef &P = *O.Def;
-      std::string Path = CertsDir + "/" + P.Name + ".tv.json";
-      cert::ReadError RE;
-      std::optional<cert::Certificate> Cert = cert::Reader::readFile(Path, &RE);
-      if (!Cert) {
-        std::fprintf(stderr, "[%s] certificate %s: %s: %s\n", P.Name.c_str(),
-                     Path.c_str(), cert::rejectName(RE.Why), RE.Detail.c_str());
-        ++TotalDiags;
-        continue;
-      }
-      cert::CheckResult CR = cert::Rederive::check(
-          *Cert, P.Model, P.Hints.EntryFacts, P.Spec, O.Compiled.Fn);
-      if (!CR.Accepted) {
-        std::fprintf(stderr, "[%s] certificate %s: %s: %s\n", P.Name.c_str(),
-                     Path.c_str(), cert::rejectName(CR.Why), CR.Detail.c_str());
-        ++TotalDiags;
-      } else if (!Quiet) {
-        std::printf("[%s] certificate accepted (%zu bindings, %zu loops)\n",
-                    P.Name.c_str(), Cert->Bindings.size(), Cert->Loops.size());
-      }
-    }
   }
 
   // The summary line names every enabled gate so a clean log still shows
   // what was actually checked (and ctest pins the format).
-  std::string Gates = "analysis";
-  if (Tv)
-    Gates += "+tv";
-  if (Rules)
-    Gates += "+rules";
-  if (!CertsDir.empty())
-    Gates += "+certs";
-  if (Code)
-    Gates += "+code";
+  std::string Gates = Tv ? "analysis+tv" : "analysis";
   if (TotalDiags) {
     std::fprintf(stderr, "relc-lint: gates [%s]: %u diagnostic(s)\n",
                  Gates.c_str(), TotalDiags);
