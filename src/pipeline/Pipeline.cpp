@@ -544,8 +544,9 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
   // named degraded outcomes, in fixed layer order so serial and parallel
   // runs render identically. Without this, a dead job would leave its
   // layer looking "never enabled" and the program would fail with no
-  // explanation at all. The shared analysis+codelint job maps onto each
-  // enabled layer it carried; a disabled layer stays untouched.
+  // explanation at all — on a cache hit as much as on a miss. The shared
+  // analysis+codelint job maps onto each enabled layer it carried; a
+  // disabled layer stays untouched.
   auto Problem = [&G](JobId J) -> std::optional<std::string> {
     if (J == NoJob)
       return std::nullopt;
@@ -582,7 +583,7 @@ certifyPrograms(const std::vector<const programs::ProgramDef *> &Progs,
       LJ.L->Ok = false;
       if (LJ.L->FaultNote.empty())
         LJ.L->FaultNote = std::string(LJ.What) + " job " + *W;
-      if (O.CompileOk && !O.CacheHit)
+      if (O.CompileOk)
         recordFailure(O, Error(LJ.L->FaultNote));
     }
     if (auto W = Problem(PJ.Certify))

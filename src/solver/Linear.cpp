@@ -8,9 +8,8 @@
 #include "solver/Linear.h"
 
 #include <algorithm>
+#include <cassert>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace relc {
 namespace solver {
@@ -27,7 +26,7 @@ LinTerm LinTerm::constant(int64_t K) {
 
 LinTerm LinTerm::sym(const std::string &Name) {
   LinTerm T;
-  T.Coeffs[Name] = 1;
+  T.Coeffs.emplace_back(Name, 1);
   return T;
 }
 
@@ -37,27 +36,38 @@ LinTerm LinTerm::unknown() {
   return T;
 }
 
-void LinTerm::normalize() {
-  for (auto It = Coeffs.begin(); It != Coeffs.end();) {
-    if (It->second == 0)
-      It = Coeffs.erase(It);
-    else
-      ++It;
-  }
+int64_t LinTerm::coeff(std::string_view Name) const {
+  auto It = std::lower_bound(
+      Coeffs.begin(), Coeffs.end(), Name,
+      [](const auto &P, std::string_view N) { return P.first < N; });
+  return It != Coeffs.end() && It->first == Name ? It->second : 0;
 }
 
 LinTerm LinTerm::operator+(const LinTerm &O) const {
   if (!Known || !O.Known)
     return unknown();
-  LinTerm T = *this;
-  if (__builtin_add_overflow(T.Const, O.Const, &T.Const))
+  LinTerm T;
+  if (__builtin_add_overflow(Const, O.Const, &T.Const))
     return unknown();
-  for (const auto &[S, C] : O.Coeffs) {
-    int64_t &Sum = T.Coeffs[S];
-    if (__builtin_add_overflow(Sum, C, &Sum))
-      return unknown();
+  // Merge the two name-sorted lists; a sum of zero drops the symbol.
+  T.Coeffs.reserve(Coeffs.size() + O.Coeffs.size());
+  auto I = Coeffs.begin(), IE = Coeffs.end();
+  auto J = O.Coeffs.begin(), JE = O.Coeffs.end();
+  while (I != IE || J != JE) {
+    if (J == JE || (I != IE && I->first < J->first)) {
+      T.Coeffs.push_back(*I++);
+    } else if (I == IE || J->first < I->first) {
+      T.Coeffs.push_back(*J++);
+    } else {
+      int64_t Sum;
+      if (__builtin_add_overflow(I->second, J->second, &Sum))
+        return unknown();
+      if (Sum != 0)
+        T.Coeffs.emplace_back(I->first, Sum);
+      ++I;
+      ++J;
+    }
   }
-  T.normalize();
   return T;
 }
 
@@ -71,10 +81,15 @@ LinTerm LinTerm::scaled(int64_t Factor) const {
   LinTerm T;
   if (__builtin_mul_overflow(Const, Factor, &T.Const))
     return unknown();
-  for (const auto &[S, C] : Coeffs)
-    if (__builtin_mul_overflow(C, Factor, &T.Coeffs[S]))
+  if (Factor == 0)
+    return T;
+  T.Coeffs.reserve(Coeffs.size());
+  for (const auto &[S, C] : Coeffs) {
+    int64_t P;
+    if (__builtin_mul_overflow(C, Factor, &P))
       return unknown();
-  T.normalize();
+    T.Coeffs.emplace_back(S, P);
+  }
   return T;
 }
 
@@ -118,6 +133,16 @@ static bool fitsInt64(__int128 V) {
   return V >= INT64_MIN && V <= INT64_MAX;
 }
 
+/// One bit per symbol of \p T, picked by the name's hash.
+static uint64_t maskOf(const LinTerm &T) {
+  uint64_t Mask = 0;
+  for (const auto &[S, C] : T.coeffs()) {
+    (void)C;
+    Mask |= uint64_t(1) << (std::hash<std::string_view>{}(S) & 63);
+  }
+  return Mask;
+}
+
 void FactDb::addGe0(LinTerm T, std::string Reason) {
   if (!T.known())
     return; // No information; dropping a fact can only lose proofs.
@@ -143,7 +168,8 @@ void FactDb::addGe0(LinTerm T, std::string Reason) {
         Upper[Sym] = int64_t(Bound);
     }
   }
-  Rows.push_back(Row{std::move(T), std::move(Reason)});
+  uint64_t Mask = maskOf(T);
+  Rows.push_back(Row{std::move(T), std::move(Reason), Mask});
 }
 
 bool FactDb::intervalImpliesLe(const LinTerm &A, const LinTerm &B) const {
@@ -177,95 +203,115 @@ void FactDb::addEq(const LinTerm &A, const LinTerm &B, std::string Reason) {
 
 namespace {
 
-/// A working row during elimination: coefficients in __int128 to keep
-/// products exact, held as a flat list sorted by symbol. The symbols are
-/// views into the originating LinTerms (the FactDb rows and the caller's
-/// goal), which outlive every WideRow of one refutes() call — so
-/// elimination never copies a symbol, and combining two rows is a linear
-/// merge instead of a tree rebuild. Overflow of the 128-bit range aborts
-/// with "unknown".
-struct WideRow {
-  std::vector<std::pair<std::string_view, __int128>> Coeffs;
-  __int128 Const = 0;
-
-  bool isConstant() const { return Coeffs.empty(); }
-
-  /// Coefficient of \p X, or 0 — binary search over the sorted list.
-  __int128 coeffOf(std::string_view X) const {
-    auto It = std::lower_bound(
-        Coeffs.begin(), Coeffs.end(), X,
-        [](const auto &P, std::string_view V) { return P.first < V; });
-    return It != Coeffs.end() && It->first == X ? It->second : 0;
-  }
-};
-
 constexpr __int128 kMagCap = (__int128(1) << 100);
 
 bool tooBig(__int128 V) { return V > kMagCap || V < -kMagCap; }
 
 /// *Out = A·X + B·Y, or false when it leaves the magnitude cap (checked
 /// at every step, so the 128-bit arithmetic itself never overflows).
+/// Operands that fit int64 take the int64 multiply-add; only a product or
+/// sum that leaves int64 is redone in 128 bits. An int64 result is always
+/// under the cap, so both paths give the same answer.
 bool mulAdd(__int128 A, __int128 X, __int128 B, __int128 Y, __int128 *Out) {
-  __int128 P, Q;
-  return !__builtin_mul_overflow(A, X, &P) &&
-         !__builtin_mul_overflow(B, Y, &Q) &&
-         !__builtin_add_overflow(P, Q, Out) && !tooBig(*Out);
-}
-
-WideRow widen(const LinTerm &T) {
-  WideRow R;
-  R.Const = T.constPart();
-  R.Coeffs.reserve(T.coeffs().size());
-  for (const auto &[S, C] : T.coeffs())
-    R.Coeffs.emplace_back(S, C); // Map iteration is already sorted.
-  return R;
-}
-
-/// Combines Pos (coeff of X is P > 0) and Neg (coeff N < 0), eliminating X:
-/// (-N)·Pos + P·Neg. Returns false on magnitude overflow.
-bool combine(const WideRow &Pos, const WideRow &Neg, std::string_view X,
-             WideRow *Out) {
-  __int128 A = -Neg.coeffOf(X), B = Pos.coeffOf(X);
-  WideRow R;
-  if (!mulAdd(A, Pos.Const, B, Neg.Const, &R.Const))
-    return false;
-  R.Coeffs.reserve(Pos.Coeffs.size() + Neg.Coeffs.size());
-  auto PI = Pos.Coeffs.begin(), PE = Pos.Coeffs.end();
-  auto NI = Neg.Coeffs.begin(), NE = Neg.Coeffs.end();
-  while (PI != PE || NI != NE) {
-    std::string_view S;
-    __int128 PC = 0, NC = 0;
-    if (NI == NE || (PI != PE && PI->first < NI->first)) {
-      S = PI->first;
-      PC = PI->second;
-      ++PI;
-    } else if (PI == PE || NI->first < PI->first) {
-      S = NI->first;
-      NC = NI->second;
-      ++NI;
-    } else {
-      S = PI->first;
-      PC = PI->second;
-      NC = NI->second;
-      ++PI;
-      ++NI;
-    }
-    if (S == X)
-      continue;
-    __int128 C;
-    if (!mulAdd(A, PC, B, NC, &C))
-      return false;
-    if (C != 0)
-      R.Coeffs.emplace_back(S, C);
+  int64_t P, Q, S;
+  if (fitsInt64(A) && fitsInt64(X) && fitsInt64(B) && fitsInt64(Y) &&
+      !__builtin_mul_overflow(int64_t(A), int64_t(X), &P) &&
+      !__builtin_mul_overflow(int64_t(B), int64_t(Y), &Q) &&
+      !__builtin_add_overflow(P, Q, &S)) {
+    *Out = S;
+    return true;
   }
-  *Out = std::move(R);
-  return true;
+  __int128 P128, Q128;
+  return !__builtin_mul_overflow(A, X, &P128) &&
+         !__builtin_mul_overflow(B, Y, &Q128) &&
+         !__builtin_add_overflow(P128, Q128, Out) && !tooBig(*Out);
 }
+
+/// The elimination workspace of one query: rows over the cone's N
+/// symbols, numbered 0..N-1 in name order. Row I's coefficients are
+/// Coef[I·N, I·N + N), in 128 bits to keep products exact; beside them sit
+/// its constant and the mask of its nonzero coefficients (N < 64).
+struct Workspace {
+  size_t N = 0;
+  std::vector<__int128> Coef;
+  std::vector<__int128> Const;
+  std::vector<uint64_t> Support;
+
+  size_t size() const { return Const.size(); }
+  const __int128 *row(size_t I) const { return Coef.data() + I * N; }
+
+  /// Appends a row with constant \p K and no coefficients yet.
+  __int128 *newRow(__int128 K) {
+    Coef.resize(Coef.size() + N);
+    Const.push_back(K);
+    Support.push_back(0);
+    return Coef.data() + Coef.size() - N;
+  }
+
+  /// Appends \p T, whose symbols all lie in \p Ids (the cone, sorted).
+  void appendTerm(const LinTerm &T,
+                  const std::vector<std::string_view> &Ids) {
+    __int128 *R = newRow(T.constPart());
+    auto It = Ids.begin();
+    for (const auto &[S, C] : T.coeffs()) {
+      It = std::lower_bound(It, Ids.end(), std::string_view(S));
+      size_t V = size_t(It - Ids.begin());
+      R[V] = C;
+      Support.back() |= uint64_t(1) << V;
+    }
+  }
+
+  /// Appends a copy of \p From's row \p I.
+  void appendRow(const Workspace &From, size_t I) {
+    Coef.insert(Coef.end(), From.row(I), From.row(I) + N);
+    Const.push_back(From.Const[I]);
+    Support.push_back(From.Support[I]);
+  }
+
+  /// Appends (−n)·Pos + p·Neg, eliminating X, where p > 0 and n < 0 are
+  /// the rows' X coefficients. False on magnitude overflow.
+  bool appendCombined(const Workspace &From, size_t Pos, size_t Neg,
+                      size_t X) {
+    const __int128 *P = From.row(Pos), *Ng = From.row(Neg);
+    __int128 A = -Ng[X], B = P[X];
+    __int128 K;
+    if (!mulAdd(A, From.Const[Pos], B, From.Const[Neg], &K))
+      return false;
+    uint64_t Sup = (From.Support[Pos] | From.Support[Neg]) &
+                   ~(uint64_t(1) << X);
+    __int128 *R = newRow(K);
+    uint64_t Nonzero = 0;
+    for (uint64_t M = Sup; M; M &= M - 1) {
+      size_t V = size_t(__builtin_ctzll(M));
+      if (!mulAdd(A, P[V], B, Ng[V], &R[V]))
+        return false;
+      if (R[V] != 0)
+        Nonzero |= uint64_t(1) << V;
+    }
+    Support.back() = Nonzero;
+    return true;
+  }
+
+  void clear() {
+    Coef.clear();
+    Const.clear();
+    Support.clear();
+  }
+
+  /// Some row reads 0 ≥ −k with k > 0.
+  bool hasContradiction() const {
+    for (size_t I = 0; I < size(); ++I)
+      if (Support[I] == 0 && Const[I] < 0)
+        return true;
+    return false;
+  }
+};
 
 } // namespace
 
 bool FactDb::refutes(const std::vector<LinTerm> &Extra,
                      size_t MaxVars) const {
+  assert(MaxVars < 64 && "a workspace row's support mask is 64 bits");
   // An unknown goal term (its arithmetic overflowed) cannot be refuted.
   if (std::any_of(Extra.begin(), Extra.end(),
                   [](const LinTerm &T) { return !T.known(); }))
@@ -279,133 +325,122 @@ bool FactDb::refutes(const std::vector<LinTerm> &Extra,
   // compilation (one definitional symbol per subexpression), but any given
   // goal only depends on the cone of facts transitively sharing symbols
   // with it. Compute that closure first so elimination stays tiny. The
-  // sets hold views into the row/goal terms (alive for the whole call):
-  // hashing a short symbol beats a red-black tree of string copies on
-  // this hot path.
-  std::unordered_set<std::string_view> Rel;
-  for (const LinTerm &T : Extra)
+  // cone's symbols are views into the row/goal terms (alive for the whole
+  // call), kept sorted; a row whose mask misses the cone's mask is skipped
+  // without looking at its symbols. A cone past MaxVars symbols cannot be
+  // refuted, so growing it stops there.
+  std::vector<std::string_view> Cone;
+  uint64_t ConeMask = 0;
+  auto Grow = [&](const LinTerm &T, uint64_t Mask) {
+    ConeMask |= Mask;
     for (const auto &[S, C] : T.coeffs()) {
       (void)C;
-      Rel.insert(S);
+      auto It = std::lower_bound(Cone.begin(), Cone.end(), S);
+      if (It == Cone.end() || *It != S)
+        Cone.insert(It, S);
     }
-  std::vector<bool> Included(Rows.size(), false);
+    return Cone.size() <= MaxVars;
+  };
+  for (const LinTerm &T : Extra)
+    if (!Grow(T, maskOf(T)))
+      return false;
   // A goal with no symbols (or a plain inconsistency query) has no cone to
   // prune by: consider every fact.
-  if (Rel.empty())
-    Included.assign(Rows.size(), true);
+  std::vector<bool> Included(Rows.size(), Cone.empty());
+  if (Cone.empty()) {
+    for (const Row &R : Rows)
+      if (!Grow(R.T, R.Mask))
+        return false;
+  }
+  auto Touches = [&](const Row &R) {
+    const auto &Coeffs = R.T.coeffs();
+    if (Coeffs.empty())
+      return true; // Constant rows are trivially relevant.
+    if (!(R.Mask & ConeMask))
+      return false;
+    return std::any_of(Coeffs.begin(), Coeffs.end(), [&](const auto &P) {
+      return std::binary_search(Cone.begin(), Cone.end(),
+                                std::string_view(P.first));
+    });
+  };
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t I = 0; I < Rows.size(); ++I) {
-      if (Included[I])
-        continue;
-      const auto &Coeffs = Rows[I].T.coeffs();
-      bool Touches =
-          Coeffs.empty() || // Constant rows are trivially relevant.
-          std::any_of(Coeffs.begin(), Coeffs.end(),
-                      [&](const auto &P) { return Rel.count(P.first); });
-      if (!Touches)
+      if (Included[I] || !Touches(Rows[I]))
         continue;
       Included[I] = true;
       Changed = true;
-      for (const auto &[S, C] : Coeffs) {
-        (void)C;
-        Rel.insert(S);
-      }
+      if (!Grow(Rows[I].T, Rows[I].Mask))
+        return false;
     }
   }
 
-  // Gather the relevant rows (each meaning T ≥ 0) and the variable set.
-  std::vector<WideRow> Work;
-  Work.reserve(Rows.size() + Extra.size());
-  std::unordered_set<std::string_view> Vars;
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    if (!Included[I])
-      continue;
-    Work.push_back(widen(Rows[I].T));
-    for (const auto &[S, C] : Rows[I].T.coeffs()) {
-      (void)C;
-      Vars.insert(S);
-    }
-  }
-  for (const LinTerm &T : Extra) {
-    Work.push_back(widen(T));
-    for (const auto &[S, C] : T.coeffs()) {
-      (void)C;
-      Vars.insert(S);
-    }
-  }
+  // Gather the relevant rows (each meaning T ≥ 0), then the goal rows,
+  // over the cone's symbols numbered in name order.
+  Workspace Work;
+  Work.N = Cone.size();
+  for (size_t I = 0; I < Rows.size(); ++I)
+    if (Included[I])
+      Work.appendTerm(Rows[I].T, Cone);
+  for (const LinTerm &T : Extra)
+    Work.appendTerm(T, Cone);
 
-  // Caps keep elimination tame; exceeding them means "cannot refute".
-  constexpr size_t kMaxRows = 4096;
-  if (Vars.size() > MaxVars)
-    return false;
-
-  auto HasContradiction = [](const std::vector<WideRow> &Rs) {
-    return std::any_of(Rs.begin(), Rs.end(), [](const WideRow &R) {
-      return R.isConstant() && R.Const < 0;
-    });
-  };
-
-  if (HasContradiction(Work))
+  if (Work.hasContradiction())
     return true;
 
-  // Eliminate variables one at a time (fewest-occurrences-first keeps the
-  // quadratic growth down on our goal shapes). The occurrence counts are
-  // computed in one pass over the rows per round and the sort compares
-  // those — the previous comparator rescanned every row for every
-  // comparison, which made this loop the single hottest spot in a
-  // warm-cache compile. The stable sort over the carried-forward order is
-  // kept as-is: elimination order feeds the give-up caps, so the
-  // selection sequence must stay exactly what it always was. The initial
-  // order is sorted to reproduce the ordered-set iteration it replaced.
-  std::vector<std::string> Order(Vars.begin(), Vars.end());
-  std::sort(Order.begin(), Order.end());
+  // Eliminate variables one at a time, fewest occurrences first (which
+  // keeps the quadratic growth down on our goal shapes): each round counts
+  // occurrences from the rows' support masks and stable-sorts the
+  // carried-forward order by them, starting from name order. Elimination
+  // order feeds the give-up caps, so this selection sequence is part of
+  // the solver's observable behaviour.
+  constexpr size_t kMaxRows = 4096; // Past it: cannot refute.
+  std::vector<size_t> Order(Work.N);
+  for (size_t V = 0; V < Work.N; ++V)
+    Order[V] = V;
+  std::vector<size_t> Occur(Work.N);
+  Workspace Next;
+  Next.N = Work.N;
+  std::vector<size_t> PosRows, NegRows;
   while (!Order.empty()) {
-    std::unordered_map<std::string_view, size_t> Occur;
-    for (const WideRow &R : Work)
-      for (const auto &[S, C] : R.Coeffs) {
-        (void)C;
-        ++Occur[S];
-      }
-    auto Count = [&](std::string_view V) {
-      auto It = Occur.find(V);
-      return It == Occur.end() ? size_t(0) : It->second;
-    };
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](const std::string &A, const std::string &B) {
-                       return Count(A) < Count(B);
-                     });
-    std::string X = Order.front();
+    std::fill(Occur.begin(), Occur.end(), 0);
+    for (uint64_t Sup : Work.Support)
+      for (uint64_t M = Sup; M; M &= M - 1)
+        ++Occur[size_t(__builtin_ctzll(M))];
+    std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+      return Occur[A] < Occur[B];
+    });
+    size_t X = Order.front();
     Order.erase(Order.begin());
 
     if (Budget && !Budget->step())
       return false; // Exhausted mid-elimination: cannot refute.
 
-    std::vector<WideRow> PosRows, NegRows, Rest;
-    for (WideRow &R : Work) {
-      __int128 C = R.coeffOf(X);
+    Next.clear();
+    PosRows.clear();
+    NegRows.clear();
+    for (size_t I = 0; I < Work.size(); ++I) {
+      __int128 C = Work.row(I)[X];
       if (C == 0)
-        Rest.push_back(std::move(R));
+        Next.appendRow(Work, I);
       else if (C > 0)
-        PosRows.push_back(std::move(R));
+        PosRows.push_back(I);
       else
-        NegRows.push_back(std::move(R));
+        NegRows.push_back(I);
     }
-    for (const WideRow &P : PosRows)
-      for (const WideRow &N : NegRows) {
-        WideRow Combined;
-        if (!combine(P, N, X, &Combined))
+    for (size_t P : PosRows)
+      for (size_t N : NegRows) {
+        if (!Next.appendCombined(Work, P, N, X))
           return false; // Overflow: give up soundly.
-        Rest.push_back(std::move(Combined));
-        if (Rest.size() > kMaxRows)
+        if (Next.size() > kMaxRows)
           return false;
       }
-    Work = std::move(Rest);
-    if (HasContradiction(Work))
+    std::swap(Work, Next);
+    if (Work.hasContradiction())
       return true;
   }
-  return HasContradiction(Work);
+  return false; // Every variable is gone and no row is contradictory.
 }
 
 bool FactDb::entailsLe(const LinTerm &A, const LinTerm &B) const {

@@ -24,13 +24,21 @@
 // structural facts like "x & c ≤ min(x, c)" and "2^k · (x >> k) ≤ x" that
 // hold without wrapping). See SymbolFacts helpers below.
 //
+// Representation (DESIGN.md §4.35): a term keeps its nonzero coefficients
+// in a name-sorted flat vector; each stored fact carries a 64-bit mask of
+// its symbols' hashes, so a query skips unrelated rows with one AND; and
+// a query numbers its cone's symbols once and eliminates over dense
+// coefficient rows, so no symbol name is compared or hashed after that.
+//
 // Concurrency contract (audited for the parallel certification pipeline,
-// pipeline/Scheduler.h): all solver scratch state — the fact rows, the
-// elimination workspace — lives inside the FactDb instance; there are no
-// globals and no caches shared across instances. Each compile / analysis /
-// TV job builds its own FactDb, so concurrent certification jobs never
-// contend (per-job arenas, not locks; DESIGN.md §4.5). Any future
-// memoization across queries must stay per-instance or be re-audited.
+// pipeline/Scheduler.h): all solver state lives inside the FactDb
+// instance (the fact rows, their masks, the interval cache) or inside the
+// one query that uses it (the cone, the elimination workspace); there are
+// no globals and no caches shared across instances. Each compile /
+// analysis / TV job builds its own FactDb, so concurrent certification
+// jobs never contend (per-job arenas, not locks; DESIGN.md §4.5). Any
+// future memoization across queries must stay per-instance or be
+// re-audited.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,15 +50,19 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace relc {
 namespace solver {
 
-/// An affine term: Σ Coeff·Sym + Const over integer coefficients.
+/// An affine term: Σ Coeff·Sym + Const over integer coefficients, the
+/// nonzero coefficients held as (symbol, coefficient) pairs sorted by
+/// symbol name.
 ///
 /// Arithmetic is overflow-checked: a result that leaves int64 is *unknown*
 /// and stays unknown through further arithmetic. An unknown term carries
@@ -68,7 +80,11 @@ public:
   LinTerm operator-(const LinTerm &O) const;
   LinTerm scaled(int64_t Factor) const;
 
-  const std::map<std::string, int64_t> &coeffs() const { return Coeffs; }
+  const std::vector<std::pair<std::string, int64_t>> &coeffs() const {
+    return Coeffs;
+  }
+  /// The coefficient of \p Name; 0 when the term does not mention it.
+  int64_t coeff(std::string_view Name) const;
   int64_t constPart() const { return Const; }
 
   bool isConstant() const { return Known && Coeffs.empty(); }
@@ -77,12 +93,12 @@ public:
   std::string str() const;
 
 private:
-  std::map<std::string, int64_t> Coeffs; ///< Zero coefficients are erased.
+  /// Sorted by name; zero coefficients are never stored.
+  std::vector<std::pair<std::string, int64_t>> Coeffs;
   int64_t Const = 0;
   bool Known = true;
 
   static LinTerm unknown();
-  void normalize();
 };
 
 /// Convenience term constructors.
@@ -153,6 +169,9 @@ private:
   struct Row {
     LinTerm T; ///< Meaning: T ≥ 0.
     std::string Reason;
+    /// One bit per symbol of T, picked by the name's hash: a row whose
+    /// mask misses a query's cone mask shares no symbol with the cone.
+    uint64_t Mask = 0;
   };
   std::vector<Row> Rows;
 
@@ -168,7 +187,9 @@ private:
   bool intervalImpliesLe(const LinTerm &A, const LinTerm &B) const;
 
   /// True iff Rows ∧ (Extra ≥ 0 for each extra) is infeasible. MaxVars
-  /// caps the elimination effort (exceeding it means "cannot refute").
+  /// caps the elimination effort (a relevance cone of more symbols means
+  /// "cannot refute"); it stays below 64, the width of a row's support
+  /// mask in the elimination workspace.
   bool refutes(const std::vector<LinTerm> &Extra, size_t MaxVars = 48) const;
 
   const guard::Budget *Budget = nullptr;

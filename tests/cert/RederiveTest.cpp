@@ -62,9 +62,10 @@ void expectReject(const Produced &W, const cert::Certificate &C,
                   cert::Reject Why, const char *Label) {
   cert::CheckResult R = check(W, C);
   EXPECT_FALSE(R.Accepted) << Label << ": tampered certificate accepted";
-  if (!R.Accepted)
+  if (!R.Accepted) {
     EXPECT_EQ(cert::rejectName(R.Why), std::string(cert::rejectName(Why)))
         << Label << ": " << R.Detail;
+  }
 }
 
 TEST(RederiveTest, AcceptsEverySuiteCertificate) {

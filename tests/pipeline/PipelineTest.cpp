@@ -374,4 +374,29 @@ TEST(PipelineTest, FailureTextsArePinned) {
   }
 }
 
+TEST(PipelineTest, DeadJobOnCacheHitIsNamed) {
+  // A layer job that dies at the scheduler boundary fails its program on
+  // a cache hit too, and the failure names the job — the same text a
+  // cache miss renders.
+  const programs::ProgramDef &Fnv = *programs::findProgram("fnv1a");
+  TempDir D("dead-job");
+  PipelineOptions Opts;
+  Opts.CacheDir = D.Path;
+  ASSERT_TRUE(certifyPrograms({&Fnv}, Opts)[0].ok());
+  for (const char *Job : {"tv", "analysis+codelint"}) {
+    SCOPED_TRACE(Job);
+    fault::ScopedFaults Armed(
+        std::string("sched-job:persistent:match=fnv1a/") + Job);
+    std::vector<ProgramOutcome> Out = certifyPrograms({&Fnv}, Opts);
+    EXPECT_TRUE(Out[0].CacheHit);
+    EXPECT_FALSE(Out[0].ok());
+    EXPECT_EQ(Out[0].ValidationError,
+              std::string(Job[0] == 't' ? "translation validation"
+                                        : "static analysis") +
+                  " job did not complete: injected persistent sched-job "
+                  "fault at 'fnv1a/" + Job + "' (hit #0)\n  note: while "
+                  "validating program fnv1a");
+  }
+}
+
 } // namespace

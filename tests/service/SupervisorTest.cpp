@@ -102,29 +102,6 @@ struct TempPaths {
   }
 };
 
-wire::Message certifyMsg(std::vector<std::string> Programs,
-                         uint64_t TvStepBudget = 0) {
-  wire::Message M;
-  M.TheKind = wire::Kind::CertifyRequest;
-  M.Certify.Programs = std::move(Programs);
-  M.Certify.TvStepBudget = TvStepBudget;
-  return M;
-}
-
-/// A worker-mode server with tight-but-safe supervision knobs.
-ServerOptions workerOptions(const TempPaths &P, unsigned Workers,
-                            unsigned Retries, unsigned JobWallMs = 60000) {
-  ServerOptions SO;
-  SO.SocketPath = P.Sock;
-  SO.CacheDir = P.CacheDir;
-  SO.Workers = Workers;
-  SO.WorkerRetries = Retries;
-  SO.JobWallMs = JobWallMs;
-  SO.WorkerBackoffBaseMs = 5; // Fast retries: keep the suite quick.
-  SO.WorkerBackoffCapMs = 40;
-  return SO;
-}
-
 //===----------------------------------------------------------------------===//
 // Loss classification: pure unit pins, no processes involved.
 //===----------------------------------------------------------------------===//
@@ -170,6 +147,29 @@ TEST(SupervisorTest, ClassifyExitCoversEveryLossShape) {
 //===----------------------------------------------------------------------===//
 
 #if !RELC_UNDER_TSAN
+
+wire::Message certifyMsg(std::vector<std::string> Programs,
+                         uint64_t TvStepBudget = 0) {
+  wire::Message M;
+  M.TheKind = wire::Kind::CertifyRequest;
+  M.Certify.Programs = std::move(Programs);
+  M.Certify.TvStepBudget = TvStepBudget;
+  return M;
+}
+
+/// A worker-mode server with tight-but-safe supervision knobs.
+ServerOptions workerOptions(const TempPaths &P, unsigned Workers,
+                            unsigned Retries, unsigned JobWallMs = 60000) {
+  ServerOptions SO;
+  SO.SocketPath = P.Sock;
+  SO.CacheDir = P.CacheDir;
+  SO.Workers = Workers;
+  SO.WorkerRetries = Retries;
+  SO.JobWallMs = JobWallMs;
+  SO.WorkerBackoffBaseMs = 5; // Fast retries: keep the suite quick.
+  SO.WorkerBackoffCapMs = 40;
+  return SO;
+}
 
 TEST(SupervisorTest, WorkerModeServesByteIdenticalCertificates) {
   TempPaths P("basic");

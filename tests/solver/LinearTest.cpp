@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace relc;
 using namespace relc::solver;
 
@@ -16,14 +18,14 @@ namespace {
 
 TEST(LinTermTest, Algebra) {
   LinTerm T = ls("x") + ls("x") + lc(3) - ls("y");
-  EXPECT_EQ(T.coeffs().at("x"), 2);
-  EXPECT_EQ(T.coeffs().at("y"), -1);
+  EXPECT_EQ(T.coeff("x"), 2);
+  EXPECT_EQ(T.coeff("y"), -1);
   EXPECT_EQ(T.constPart(), 3);
   LinTerm Z = T - T;
   EXPECT_TRUE(Z.isConstant());
   EXPECT_EQ(Z.constPart(), 0);
   LinTerm S = T.scaled(-2);
-  EXPECT_EQ(S.coeffs().at("x"), -4);
+  EXPECT_EQ(S.coeff("x"), -4);
   EXPECT_EQ(S.constPart(), -6);
 }
 
@@ -229,6 +231,167 @@ TEST(LinearTest, FailureMessageListsGoalAndFacts) {
   Status S = F.proveLt(ls("y"), lc(2));
   ASSERT_FALSE(bool(S));
   EXPECT_NE(S.error().str().find("y < 2"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Verdict pin.
+//===----------------------------------------------------------------------===//
+
+/// splitmix64: a fixed generator, so every platform draws the same
+/// databases and goals.
+struct Rng {
+  uint64_t S;
+  uint64_t next() {
+    uint64_t Z = (S += 0x9E3779B97F4A7C15ull);
+    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
+    return Z ^ (Z >> 31);
+  }
+  int64_t in(int64_t Lo, int64_t Hi) {
+    return Lo + int64_t(next() % (uint64_t(Hi) - uint64_t(Lo) + 1));
+  }
+  bool oneIn(uint64_t N) { return next() % N == 0; }
+};
+
+/// FNV-1a over the stream of verdicts, step counts and renderings.
+struct Digest {
+  uint64_t H = 0xcbf29ce484222325ull;
+  void byte(uint8_t B) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+  void add(uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      byte(uint8_t(V >> (8 * I)));
+  }
+  void add(const std::string &S) {
+    for (char C : S)
+      byte(uint8_t(C));
+    add(S.size());
+  }
+};
+
+/// Mostly small; when \p Wide, often near 2^k for k up to 62 (and now and
+/// then INT64_MIN), so elimination products cross int64 and the 2^100 cap.
+int64_t drawCoeff(Rng &R, bool Wide) {
+  if (Wide && R.oneIn(16))
+    return INT64_MIN;
+  int64_t C = Wide && R.oneIn(2) ? (int64_t(1) << R.in(20, 62)) + R.in(-3, 3)
+                                 : R.in(1, 4);
+  return R.oneIn(2) ? -C : C;
+}
+
+LinTerm drawTerm(Rng &R, const std::vector<std::string> &Syms, int MaxSyms,
+                 bool Wide) {
+  LinTerm T = lc(Wide ? R.in(-(int64_t(1) << 40), int64_t(1) << 40)
+                      : R.in(-12, 12));
+  for (int64_t I = 0, N = R.in(1, MaxSyms); I < N; ++I)
+    T = T + ls(Syms[R.in(0, int64_t(Syms.size()) - 1)])
+                .scaled(drawCoeff(R, Wide));
+  return T;
+}
+
+std::vector<std::string> symbols(const char *Prefix, int64_t N) {
+  std::vector<std::string> Out;
+  for (int64_t I = 0; I < N; ++I)
+    Out.push_back(Prefix + std::to_string(I));
+  return Out;
+}
+
+/// A seeded sweep over a few thousand small fact databases: random cones,
+/// chains past the probe's 8 and the full query's 48 symbols, coefficients
+/// whose elimination products leave int64 and pass 2^100, constant
+/// contradictions, row sets whose elimination passes the 4096-row cap,
+/// and step-limited budgets. Every verdict is hashed together with the
+/// budget's step count after it, so the digest pins what the solver
+/// answers and how much elimination it charged for. A change of internal
+/// representation must leave the digest as it is; one that moves it
+/// changes a verdict, a cap or a budget step.
+TEST(LinearTest, VerdictPinIsRepresentationIndependent) {
+  Rng R{20220613};
+  Digest D;
+  unsigned Proved = 0, Queries = 0;
+  for (int Db = 0; Db < 2400; ++Db) {
+    FactDb F;
+    std::vector<std::string> Syms;
+    int64_t NGoals = R.in(2, 6);
+    bool Wide = false;
+    switch (Db % 6) {
+    case 2: { // A chain y0 <= y1 <= ... <= yL <= K, plus noise.
+      int64_t L = R.in(3, 60);
+      Syms = symbols("y", L + 1);
+      for (int64_t I = 0; I < L; ++I)
+        F.addLe(ls(Syms[I]) + lc(R.in(-1, 1)), ls(Syms[I + 1]));
+      F.addLe(ls(Syms[L]), lc(R.in(0, 40)));
+      F.addGe0(ls(Syms[0]));
+      break;
+    }
+    case 3: // Wide coefficients.
+      Wide = true;
+      Syms = symbols("w", R.in(1, 4));
+      for (int64_t I = 0, N = R.in(1, 8); I < N; ++I)
+        F.addGe0(drawTerm(R, Syms, 3, /*Wide=*/true));
+      break;
+    case 5:
+      if (Db % 50 == 5) { // Elimination past the 4096-row cap.
+        Syms = symbols("b", R.in(2, 3));
+        for (int64_t I = 0, N = R.in(100, 140); I < N; ++I) {
+          LinTerm T = lc(R.in(-30, 30));
+          for (const std::string &S : Syms)
+            T = T + ls(S).scaled(drawCoeff(R, false));
+          F.addGe0(T);
+        }
+        NGoals = 1;
+        break;
+      }
+      [[fallthrough]];
+    default: // Small random cones; case 4 adds a contradiction.
+      Syms = symbols("s", R.in(1, 12));
+      for (int64_t I = 0, N = R.in(0, 10); I < N; ++I)
+        F.addGe0(drawTerm(R, Syms, 3, false));
+      if (Db % 6 == 4) {
+        int64_t K = R.in(0, 9);
+        if (R.oneIn(2)) {
+          F.addGe0(lc(-K - 1), "false");
+        } else {
+          F.addLe(lc(K), ls(Syms[0]));
+          F.addLt(ls(Syms[0]), lc(K));
+        }
+      }
+      break;
+    }
+
+    std::unique_ptr<guard::Budget> B =
+        R.oneIn(4) ? std::make_unique<guard::Budget>(0, R.in(1, 24))
+                   : std::make_unique<guard::Budget>();
+    F.setBudget(B.get());
+    D.add(F.str());
+    auto Record = [&](bool V) {
+      D.add(uint64_t(V));
+      D.add(B->stepsUsed());
+      Proved += V;
+      ++Queries;
+    };
+    for (int64_t G = 0; G < NGoals; ++G) {
+      LinTerm A = drawTerm(R, Syms, 3, Wide);
+      LinTerm C = R.oneIn(3) ? lc(R.in(-5, 60)) : drawTerm(R, Syms, 2, Wide);
+      if (R.oneIn(16))
+        A = ls(Syms[0]).scaled(INT64_MAX).scaled(2); // Unknown.
+      if (R.oneIn(8))
+        C = C + ls("fresh");
+      D.add(A.str() + " | " + C.str());
+      Record(F.entailsLe(A, C));
+      Record(F.entailsLt(A, C));
+      Record(F.probeLe(A, C));
+      std::optional<int64_t> UB = F.intervalUpperBound(A);
+      D.add(UB ? uint64_t(*UB) : 0x5a5a5a5a5a5a5a5aull);
+    }
+    Record(F.inconsistent());
+  }
+  // Not a degenerate sweep: both verdicts occur often.
+  EXPECT_GT(Proved, Queries / 10);
+  EXPECT_LT(Proved, Queries - Queries / 10);
+  EXPECT_EQ(D.H, 0x5a3bfcf9d9f99d04ull) << std::hex << "digest 0x" << D.H;
 }
 
 /// Parameterized sweep: i < n ∧ n ≤ K ⊢ i + j < K + j for several K, j —
