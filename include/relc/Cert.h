@@ -7,11 +7,12 @@
 //
 // The public facade over the certificate formats: the versioned schema
 // (cert::Certificate, cert::kSchemaVersion, named rejections), the
-// canonical JSON face (cert::Reader / cert::Writer), and the zero-copy
-// binary image (cert::BinReader / cert::BinWriter, kBinExtension).
-// Everything here is consumable without the TV driver — relc-check
-// links this surface plus relc/Check.h and nothing else, and CI's nm
-// audit keeps it that way.
+// zero-copy binary image (cert::BinReader / cert::BinWriter,
+// kBinExtension), and the canonical JSON face's renderer (cert::Writer).
+// No JSON parser is exported: a checker decodes the image and compares
+// the JSON face with its rendering. Everything here is consumable without
+// the TV driver — relc-check links this surface plus relc/Check.h and
+// nothing else, and CI's nm audit keeps it that way.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,6 @@
 
 #include "cert/Binary.h"
 #include "cert/Cert.h"
-#include "cert/Reader.h"
 #include "cert/Writer.h"
 
 #endif // RELC_API_CERT_H

@@ -83,7 +83,6 @@ template <class Dir, class Cert> void records(Dir &IO, Cert &C) {
   IO.str(C.Function);
   IO.str(C.Verdict);
   IO.str(C.Reason);
-  IO.u64(C.NumTerms);
   IO.list(C.Loops, [&](auto &L) {
     IO.u32(L.Ordinal);
     IO.u32(L.Carried);

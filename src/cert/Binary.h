@@ -5,13 +5,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// A versioned, relocatable binary encoding of cert::Certificate — the warm
-// path's alternative to the canonical JSON. The JSON stays the compat and
-// review format (Writer.h/Reader.h); the binary image exists so a warm
-// relc-check / relc-gen run can load a certificate with one read and a
-// bounds-checked walk instead of a parse-and-allocate storm. The two
-// formats must round-trip to the same Certificate (CI and the rederive
-// suite enforce that they produce identical verdicts).
+// A versioned, relocatable binary encoding of cert::Certificate, and the
+// one certificate input relc-check reads. The canonical JSON face
+// (Writer.h) is its rendering: relc-check renders the image it accepted
+// and requires the .tv.json beside it to equal that rendering byte for
+// byte, so the JSON needs no decoder of its own in the checker. The image
+// loads with one read and a bounds-checked walk.
 //
 // Image layout (all integers little-endian, position-independent — every
 // reference is an offset from the image start, never a pointer):
@@ -48,7 +47,7 @@
 #ifndef RELC_CERT_BINARY_H
 #define RELC_CERT_BINARY_H
 
-#include "cert/Reader.h"
+#include "cert/Cert.h"
 
 #include <optional>
 #include <string>

@@ -98,6 +98,10 @@ const char *rejectName(Reject R) {
     return "stale-code";
   case Reject::VerdictNotProved:
     return "verdict-not-proved";
+  case Reject::ProducerMismatch:
+    return "producer-mismatch";
+  case Reject::ProvedWithReason:
+    return "proved-with-reason";
   case Reject::TruncatedTrace:
     return "truncated-trace";
   case Reject::BindingTraceMismatch:
@@ -108,6 +112,8 @@ const char *rejectName(Reject R) {
     return "loop-witness-mismatch";
   case Reject::OutputMismatch:
     return "output-mismatch";
+  case Reject::MissingCodelint:
+    return "missing-codelint";
   case Reject::CodelintMismatch:
     return "codelint-mismatch";
   case Reject::RederivationFailed:
@@ -120,6 +126,8 @@ const char *rejectName(Reject R) {
     return "bad-magic";
   case Reject::OffsetOutOfRange:
     return "offset-out-of-range";
+  case Reject::JsonFaceMismatch:
+    return "json-face-mismatch";
   }
   return "?";
 }

@@ -14,8 +14,9 @@
 // content hashes pinning the exact (model, fnspec, code) triple the
 // verdict is about.
 //
-// This header is the schema. `cert::Writer` (Writer.h) serializes it
-// canonically, `cert::Reader` (Reader.h) parses it back, and
+// This header is the schema. `cert::BinWriter` and `cert::BinReader`
+// (Binary.h) encode and decode its binary image, the one input relc-check
+// reads; `cert::Writer` (Writer.h) renders its canonical JSON face; and
 // `cert::Rederive` (Rederive.h) is the independent checker that re-derives
 // every hash from the model and the command tree without trusting the TV
 // driver — the de Bruijn move: a small checker audits a large searcher.
@@ -28,12 +29,12 @@
 //   v2  "schema_version": 2 — adds producer identity, model/fnspec/code
 //       content hashes (support/Hash FNV-1a over the canonical
 //       renderings, the same key the certificate cache uses), per-loop
-//       source paths and match witnesses, and per-layer verdict text.
-//       A v2 file may additionally carry an optional "codelint" section
-//       (versioned independently, cert::CodelintRec) recording the
-//       target-side analyzer's verdicts; when present, relc-check
-//       re-derives it from the emitted code via relc_codelint_core and
-//       rejects on any difference (`codelint-mismatch`).
+//       source paths and match witnesses, per-layer verdict text, and an
+//       optional "codelint" section (cert::CodelintRec, versioned
+//       independently) recording the target-side analyzer's verdicts.
+//   v3  "schema_version": 3 — drops "num_terms", the producer's term-graph
+//       size, which the checker cannot re-derive. Every field left is
+//       checked, and the codelint section is required.
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,9 +66,9 @@ struct Report;
 
 namespace cert {
 
-/// The schema version this toolchain writes, and the only one either
-/// reader (cert::Reader, cert::BinReader) accepts.
-constexpr unsigned kSchemaVersion = 2;
+/// The schema version this toolchain writes, and the only one its readers
+/// accept.
+constexpr unsigned kSchemaVersion = 3;
 
 /// Producer identity stamped into every emitted certificate.
 constexpr const char *kProducer = "relc-tv";
@@ -137,7 +138,7 @@ struct OutputRec {
   std::string TargetPath;    ///< Last target statement defining it.
 };
 
-/// The optional target-side codelint section (DESIGN.md §4.9): the
+/// The target-side codelint section (DESIGN.md §4.9): the
 /// analyzer's three verdicts plus the resource numbers they certify.
 /// Versioned independently of the certificate schema so the analyzer can
 /// evolve without a schema bump; the checker re-derives the whole record
@@ -174,14 +175,11 @@ struct Certificate {
   ContentKey Key;       ///< Content hashes the verdict is about.
   std::string Verdict;  ///< "proved" / "refuted" / "inconclusive".
   std::string Reason;   ///< Refutation / inconclusiveness explanation.
-  uint64_t NumTerms = 0; ///< Informational: the producer's graph size
-                         ///< (not re-derivable — the search interns
-                         ///< candidate terms the checker never builds).
   std::vector<LoopRec> Loops;
   std::vector<BindingRec> Bindings;
   std::vector<OutputRec> Outputs;
   /// Present iff the pipeline's codelint layer ran to completion
-  /// (un-degraded, budget not exhausted) when the certificate was written.
+  /// (un-degraded, budget not exhausted); required by the checker.
   std::optional<CodelintRec> Codelint;
 
   bool proved() const { return Verdict == "proved"; }
@@ -201,11 +199,14 @@ enum class Reject : uint8_t {
   StaleSpec,            ///< Fnspec hash differs.
   StaleCode,            ///< Code hash differs from the fresh compile.
   VerdictNotProved,     ///< Only proved certificates are acceptable.
+  ProducerMismatch,     ///< A proved certificate names another producer.
+  ProvedWithReason,     ///< A proved certificate carries a reason.
   TruncatedTrace,       ///< Binding trace shorter/longer than derived.
   BindingTraceMismatch, ///< A binding path/name/hash differs.
   LoopSummaryMismatch,  ///< A loop's fold hash or shape differs.
   LoopWitnessMismatch,  ///< The recorded witness fails verification.
   OutputMismatch,       ///< An output channel's record differs.
+  MissingCodelint,      ///< The certificate has no codelint section.
   CodelintMismatch,     ///< The codelint section differs from what the
                         ///< checker re-derives from the emitted code.
   RederivationFailed,   ///< The checker could not model the program.
@@ -216,10 +217,18 @@ enum class Reject : uint8_t {
                         ///< image bytes.
   BadMagic,             ///< Leading magic is not a relc binary cert.
   OffsetOutOfRange,     ///< A record or string slice escapes the image.
+  JsonFaceMismatch,     ///< The JSON face is not the image's rendering.
 };
 
 /// Stable kebab-case name ("missing-certificate", ...).
 const char *rejectName(Reject R);
+
+/// Why a decode failed, in checker vocabulary (MissingCertificate for a
+/// file that cannot be opened).
+struct ReadError {
+  Reject Why = Reject::MalformedCertificate;
+  std::string Detail;
+};
 
 /// One certificate check's outcome.
 struct CheckResult {

@@ -10,9 +10,7 @@
 #include "support/Hash.h"
 #include "support/StringExtras.h"
 
-#include <fstream>
 #include <map>
-#include <sstream>
 
 namespace relc {
 namespace cert {
@@ -363,9 +361,9 @@ std::optional<Certificate> Reader::parse(const std::string &Text,
     C.Key.CodeHash = hashField(*Root, "code_hash");
     C.Verdict = strField(*Root, "verdict");
     C.Reason = strField(*Root, "reason");
-    C.NumTerms = numField(*Root, "num_terms");
     parseTraces(*Root, C);
-    // Optional codelint section (v2 extension; absence is not an error).
+    // The codelint section is optional to the decoder; the checker
+    // rejects its absence (missing-codelint).
     auto ClIt = Root->Obj.find("codelint");
     if (ClIt != Root->Obj.end()) {
       const JValue &Cl = ClIt->second;
@@ -387,19 +385,6 @@ std::optional<Certificate> Reader::parse(const std::string &Text,
   } catch (const Bad &B) {
     return Fail(Reject::MalformedCertificate, B.Why);
   }
-}
-
-std::optional<Certificate> Reader::readFile(const std::string &Path,
-                                            ReadError *Err) {
-  std::ifstream In(Path);
-  if (!In) {
-    if (Err)
-      *Err = {Reject::MissingCertificate, "cannot read " + Path};
-    return std::nullopt;
-  }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return parse(SS.str(), Err);
 }
 
 } // namespace cert

@@ -5,15 +5,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Parses certificates back into the typed `cert::Certificate`. The one
-// accepted input is a file with "schema_version": kSchemaVersion, such as
-// the canonical Writer output. Parsing is a real (minimal,
+// Parses the canonical JSON face back into the typed `cert::Certificate`.
+// The one accepted input is a file with "schema_version": kSchemaVersion,
+// such as the canonical Writer output. Parsing is a real (minimal,
 // recursive-descent) JSON parse, not a byte comparison, so hand-edited or
-// re-serialized files load too.
+// re-serialized files load too. relc-check does not link it: it decodes
+// the binary image and compares the JSON face with its rendering.
 //
 // Any other "schema_version", older or newer, is *not* malformed: it is
 // reported distinctly (UnknownSchemaVersion), as cert::BinReader does for
-// the binary face, so operators can tell "wrong relc-check" from "corrupt
+// the binary face, so operators can tell "wrong toolchain" from "corrupt
 // artifact". A file with no "schema_version" at all, such as the legacy
 // v1 format, is MalformedCertificate.
 //
@@ -29,23 +30,11 @@
 namespace relc {
 namespace cert {
 
-/// Why a parse failed, in checker vocabulary (only ever
-/// MalformedCertificate, UnknownSchemaVersion, or — for readFile —
-/// MissingCertificate).
-struct ReadError {
-  Reject Why = Reject::MalformedCertificate;
-  std::string Detail;
-};
-
 class Reader {
 public:
   /// Parses \p Text as a certificate of schema kSchemaVersion.
   static std::optional<Certificate> parse(const std::string &Text,
                                           ReadError *Err = nullptr);
-
-  /// Reads and parses \p Path (MissingCertificate if unreadable).
-  static std::optional<Certificate> readFile(const std::string &Path,
-                                             ReadError *Err = nullptr);
 };
 
 } // namespace cert

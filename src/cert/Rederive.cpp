@@ -256,6 +256,15 @@ CheckResult Rederive::check(const Certificate &C, const ir::SourceFn &Model,
                                "certificate verdict is '" + C.Verdict +
                                    "'; only proved certificates are "
                                    "acceptable");
+  if (C.Producer != kProducer)
+    return CheckResult::reject(Reject::ProducerMismatch,
+                               "certificate names producer '" + C.Producer +
+                                   "'; proved certificates come from '" +
+                                   kProducer + "'");
+  if (!C.Reason.empty())
+    return CheckResult::reject(Reject::ProvedWithReason,
+                               "proved certificate carries the reason '" +
+                                   C.Reason + "'");
 
   CheckResult R = CheckResult::accept();
   try {
@@ -267,12 +276,15 @@ CheckResult Rederive::check(const Certificate &C, const ir::SourceFn &Model,
     // certificate can be about this program.
     return CheckResult::reject(Reject::RederivationFailed, F.Reason);
   }
-  if (!R.Accepted || !C.Codelint)
+  if (!R.Accepted)
     return R;
+  if (!C.Codelint)
+    return CheckResult::reject(Reject::MissingCodelint,
+                               "certificate has no codelint section");
 
-  // The optional codelint section re-derives the same way everything else
-  // does: run the analyzer core (unbudgeted — the producer only embeds the
-  // section when its own budgeted run finished) and compare field-for-field.
+  // The codelint section re-derives the same way everything else does: run
+  // the analyzer core (unbudgeted — the producer only embeds the section
+  // when its own budgeted run finished) and compare field-for-field.
   codelint::Report Rep = codelint::analyzeFunction(Code, Spec, Model, Hints);
   CodelintRec Fresh2 = codelintRecOf(Rep);
   if (!(Fresh2 == *C.Codelint))

@@ -22,7 +22,9 @@
 //     cannot be patched over: the equations simply fail to intern equal.
 //
 // The re-derived trace (binding hashes, loop summaries, output channels)
-// must then equal the certificate's records exactly. This is the de Bruijn
+// and the recomputed codelint section must then equal the certificate's
+// records exactly, and a proved certificate names producer `relc-tv` and
+// carries no reason: no field goes unchecked. This is the de Bruijn
 // criterion applied to translation validation: the searcher is audited by
 // a deterministic replayer, and a certificate is only as good as what the
 // replayer can confirm.

@@ -62,7 +62,6 @@ std::string Writer::write(const Certificate &C) {
   J += "  \"code_hash\": \"" + hash::hex16(C.Key.CodeHash) + "\",\n";
   J += "  \"verdict\": " + quoted(C.Verdict) + ",\n";
   J += "  \"reason\": " + quoted(C.Reason) + ",\n";
-  J += "  \"num_terms\": " + std::to_string(C.NumTerms) + ",\n";
 
   J += "  \"loops\": [";
   for (size_t I = 0; I < C.Loops.size(); ++I) {
@@ -123,7 +122,6 @@ Certificate fromTvReport(const tv::TvReport &Rep, const ContentKey &Key) {
   C.Key = Key;
   C.Verdict = verdictStr(Rep.TheVerdict);
   C.Reason = Rep.Reason;
-  C.NumTerms = Rep.NumTerms;
   for (const tv::LoopRecord &L : Rep.Loops) {
     LoopRec R;
     R.Ordinal = L.Ordinal;

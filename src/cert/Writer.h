@@ -30,7 +30,7 @@ namespace cert {
 
 class Writer {
 public:
-  /// Canonical v2 JSON for \p C (schema documented in Cert.h).
+  /// The canonical JSON face of \p C (schema documented in Cert.h).
   static std::string write(const Certificate &C);
 };
 

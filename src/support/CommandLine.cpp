@@ -58,27 +58,6 @@ void OptionTable::num(std::vector<std::string> Names, unsigned *Target,
          });
 }
 
-void OptionTable::choice(std::vector<std::string> Names, std::string *Target,
-                         std::vector<std::string> Allowed, std::string Meta,
-                         std::string Help) {
-  custom(std::move(Names), true, std::move(Meta), std::move(Help),
-         [Target, Allowed = std::move(Allowed)](const std::string &V,
-                                                std::string *Err) {
-           for (const std::string &A : Allowed)
-             if (V == A) {
-               *Target = V;
-               return true;
-             }
-           *Err = "invalid value '" + V + "' (expected ";
-           for (size_t I = 0; I < Allowed.size(); ++I)
-             *Err += std::string(I ? I + 1 == Allowed.size() ? " or " : ", "
-                                   : "") +
-                     "'" + Allowed[I] + "'";
-           *Err += ")";
-           return false;
-         });
-}
-
 void OptionTable::custom(
     std::vector<std::string> Names, bool HasValue, std::string Meta,
     std::string Help,

@@ -64,14 +64,6 @@ public:
   void num(std::vector<std::string> Names, unsigned *Target, unsigned Min,
            std::string Meta, std::string Help);
 
-  /// An enumerated option: consumes the next argument into \p Target,
-  /// rejecting anything not listed in \p Allowed (the error names every
-  /// accepted value). \p Target's initial value is the default and is
-  /// left untouched when the flag is absent.
-  void choice(std::vector<std::string> Names, std::string *Target,
-              std::vector<std::string> Allowed, std::string Meta,
-              std::string Help);
-
   /// A custom option: \p Consume parses the (possibly absent) value.
   /// \p HasValue decides whether the next argument is consumed.
   void custom(std::vector<std::string> Names, bool HasValue, std::string Meta,

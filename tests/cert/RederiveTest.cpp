@@ -6,19 +6,23 @@
 //===----------------------------------------------------------------------===//
 //
 // The heart of the trust story: cert::Rederive must accept every
-// certificate the TV producer emits for the suite, and reject every entry
-// of a tamper corpus — bit-flipped hashes, reordered or truncated traces,
+// certificate the pipeline emits for the suite, and reject every entry of
+// a tamper corpus — bit-flipped hashes, reordered or truncated traces,
 // forged witnesses, stale content keys, downgraded/foreign schema
-// versions — each with its specific named reason. An accept-everything
-// checker or a wrong-reason rejection fails here.
+// versions, a stripped codelint section, a foreign producer — each with
+// its specific named reason. An accept-everything checker or a
+// wrong-reason rejection fails here, and so does a resealed bit flip of
+// the binary image that is accepted but renders differently.
 //
 //===----------------------------------------------------------------------===//
 
+#include "cert/Binary.h"
 #include "cert/Reader.h"
 #include "cert/Rederive.h"
 #include "cert/Writer.h"
 #include "codelint/Codelint.h"
 #include "programs/Programs.h"
+#include "support/Bytes.h"
 #include "tv/Tv.h"
 
 #include <gtest/gtest.h>
@@ -27,7 +31,9 @@ using namespace relc;
 
 namespace {
 
-/// A compiled program plus its freshly produced certificate.
+/// A compiled program plus its freshly produced certificate: the TV
+/// report's records plus the genuine codelint section, as the pipeline's
+/// certify job assembles them.
 struct Produced {
   const programs::ProgramDef *P = nullptr;
   core::CompileResult Compiled;
@@ -49,6 +55,9 @@ Produced produce(const char *Name) {
   Out.Cert = cert::fromTvReport(
       Rep, cert::contentKey(Out.P->Model, Out.P->Hints.EntryFacts, Out.P->Spec,
                             Out.Compiled.Fn));
+  Out.Cert.Codelint = cert::codelintRecOf(
+      codelint::analyzeFunction(Out.Compiled.Fn, Out.P->Spec, Out.P->Model,
+                                Out.P->Hints.EntryFacts));
   return Out;
 }
 
@@ -81,14 +90,16 @@ TEST(RederiveTest, AcceptsEverySuiteCertificate) {
 }
 
 TEST(RederiveTest, AcceptsAfterDiskRoundtrip) {
-  // The on-disk path: write -> parse -> check, as relc-check does.
+  // The on-disk path, as relc-check takes it: encode the image, decode it,
+  // check, and render the JSON face the image stands for.
   Produced W = produce("crc32");
   cert::ReadError Err;
   std::optional<cert::Certificate> R =
-      cert::Reader::parse(cert::Writer::write(W.Cert), &Err);
+      cert::BinReader::parse(cert::BinWriter::write(W.Cert), &Err);
   ASSERT_TRUE(R.has_value()) << Err.Detail;
   cert::CheckResult CR = check(W, *R);
   EXPECT_TRUE(CR.Accepted) << cert::rejectName(CR.Why) << ": " << CR.Detail;
+  EXPECT_EQ(cert::Writer::write(*R), cert::Writer::write(W.Cert));
 }
 
 //===----------------------------------------------------------------------===//
@@ -177,6 +188,20 @@ TEST(RederiveTest, TamperVerdictDowngrade) {
   expectReject(W, C, cert::Reject::VerdictNotProved, "verdict flip");
 }
 
+TEST(RederiveTest, TamperProducer) {
+  Produced W = produce("crc32");
+  cert::Certificate C = W.Cert;
+  C.Producer = "relc-tw";
+  expectReject(W, C, cert::Reject::ProducerMismatch, "producer edit");
+}
+
+TEST(RederiveTest, TamperReasonOnProvedCertificate) {
+  Produced W = produce("crc32");
+  cert::Certificate C = W.Cert;
+  C.Reason = "x";
+  expectReject(W, C, cert::Reject::ProvedWithReason, "reason added");
+}
+
 TEST(RederiveTest, TamperFunctionName) {
   Produced W = produce("crc32");
   cert::Certificate C = W.Cert;
@@ -228,53 +253,46 @@ TEST(RederiveTest, TamperCertificateSwappedBetweenPrograms) {
 }
 
 //===----------------------------------------------------------------------===//
-// The codelint section: accepted when genuine, rejected on any drift —
-// the checker recomputes the whole analysis from the core library alone.
+// The codelint section: required, and rejected on any drift — the checker
+// recomputes the whole analysis from the core library alone.
 //===----------------------------------------------------------------------===//
-
-/// \p W's certificate with a genuinely derived codelint section attached,
-/// exactly as the pipeline's certify job embeds it.
-cert::Certificate withCodelint(const Produced &W) {
-  cert::Certificate C = W.Cert;
-  C.Codelint = cert::codelintRecOf(codelint::analyzeFunction(
-      W.Compiled.Fn, W.P->Spec, W.P->Model, W.P->Hints.EntryFacts));
-  return C;
-}
 
 TEST(RederiveTest, AcceptsGenuineCodelintSection) {
   Produced W = produce("crc32");
-  cert::Certificate C = withCodelint(W);
-  EXPECT_EQ(C.Codelint->Mem, "safe");
-  cert::CheckResult R = check(W, C);
+  ASSERT_TRUE(W.Cert.Codelint.has_value());
+  EXPECT_EQ(W.Cert.Codelint->Mem, "safe");
+  cert::CheckResult R = check(W, W.Cert);
   EXPECT_TRUE(R.Accepted) << cert::rejectName(R.Why) << ": " << R.Detail;
+}
 
-  // And through the on-disk path, as relc-check sees it.
-  std::optional<cert::Certificate> Re =
-      cert::Reader::parse(cert::Writer::write(C));
-  ASSERT_TRUE(Re.has_value());
-  cert::CheckResult R2 = check(W, *Re);
-  EXPECT_TRUE(R2.Accepted) << cert::rejectName(R2.Why) << ": " << R2.Detail;
+TEST(RederiveTest, TamperCodelintSectionStripped) {
+  // A degraded codelint run writes no section; such a certificate claims
+  // less than relc-gen certifies and is not accepted.
+  Produced W = produce("crc32");
+  cert::Certificate C = W.Cert;
+  C.Codelint.reset();
+  expectReject(W, C, cert::Reject::MissingCodelint, "section stripped");
 }
 
 TEST(RederiveTest, TamperCodelintVerdictUpgradeForged) {
   // Claiming "safe" where the analyzer derives something else — or any
   // other verdict drift — must not survive re-derivation.
   Produced W = produce("crc32");
-  cert::Certificate C = withCodelint(W);
+  cert::Certificate C = W.Cert;
   C.Codelint->Steps = "unknown";
   expectReject(W, C, cert::Reject::CodelintMismatch, "verdict drift");
 }
 
 TEST(RederiveTest, TamperCodelintStepBoundFlip) {
   Produced W = produce("crc32");
-  cert::Certificate C = withCodelint(W);
+  cert::Certificate C = W.Cert;
   C.Codelint->StepBound ^= 1;
   expectReject(W, C, cert::Reject::CodelintMismatch, "step bound flip");
 }
 
 TEST(RederiveTest, TamperCodelintLocalsBytes) {
   Produced W = produce("crc32");
-  cert::Certificate C = withCodelint(W);
+  cert::Certificate C = W.Cert;
   C.Codelint->LocalsBytes += 8;
   expectReject(W, C, cert::Reject::CodelintMismatch, "locals bytes");
 }
@@ -283,7 +301,7 @@ TEST(RederiveTest, TamperCodelintVersionForged) {
   // A section stamped with a foreign analyzer version cannot re-derive:
   // the checker always recomputes with the linked kCodelintVersion.
   Produced W = produce("crc32");
-  cert::Certificate C = withCodelint(W);
+  cert::Certificate C = W.Cert;
   C.Codelint->Version = 99;
   expectReject(W, C, cert::Reject::CodelintMismatch, "version forge");
 }
@@ -312,7 +330,6 @@ TEST(RederiveTest, TamperJsonIntegerOverflowIsMalformed) {
   const std::pair<const char *, const char *> Edits[] = {
       {"schema_version", "18446744073709551618"}, // 2^64 + 2
       {"carried", "4294967298"},                  // 2^32 + 2
-      {"num_terms", "99999999999999999999999"},
   };
   for (const auto &[Field, Value] : Edits) {
     std::string Key = std::string("\"") + Field + "\": ";
@@ -327,6 +344,42 @@ TEST(RederiveTest, TamperJsonIntegerOverflowIsMalformed) {
               std::string(cert::rejectName(cert::Reject::MalformedCertificate)))
         << Field << ": " << Err.Detail;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Behind the seal. fnv1a64 is not a MAC: whoever edits an image can reseal
+// it, so every decode and check path behind the seal is reachable.
+//===----------------------------------------------------------------------===//
+
+TEST(RederiveTest, ResealedBitFlipsAreRejectedOrRenderIdentically) {
+  // Every byte of each suite image but the 8-byte seal, XORed with 0x01
+  // and resealed. A mutant is either rejected by name — by the decoder or
+  // by the checker — or decodes to a certificate whose canonical rendering
+  // is the original's: nothing the checker accepts goes unchecked.
+  unsigned Rejected = 0;
+  for (const programs::ProgramDef &P : programs::allPrograms()) {
+    Produced W = produce(P.Name.c_str());
+    std::string Image = cert::BinWriter::write(W.Cert);
+    std::string Want = cert::Writer::write(W.Cert);
+    for (size_t I = 0; I + 8 < Image.size(); ++I) {
+      std::string M = Image.substr(0, Image.size() - 8);
+      M[I] = char(M[I] ^ 0x01);
+      bytes::seal(M);
+      cert::ReadError Err;
+      std::optional<cert::Certificate> C = cert::BinReader::parse(M, &Err);
+      cert::CheckResult R =
+          C ? check(W, *C) : cert::CheckResult::reject(Err.Why, Err.Detail);
+      if (!R.Accepted) {
+        EXPECT_STRNE(cert::rejectName(R.Why), "?") << P.Name << " byte " << I;
+        ++Rejected;
+        continue;
+      }
+      EXPECT_EQ(cert::Writer::write(*C), Want)
+          << P.Name << ": byte " << I
+          << " flipped is accepted but renders differently";
+    }
+  }
+  EXPECT_GT(Rejected, 0u);
 }
 
 } // namespace

@@ -19,8 +19,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cert/Reader.h"
+#include "cert/Binary.h"
 #include "cert/Rederive.h"
+#include "cert/Writer.h"
 #include "core/Compiler.h"
 #include "programs/Programs.h"
 #include "service/Client.h"
@@ -859,9 +860,13 @@ TEST(SupervisorTest, ChaosSoakOkOrNamedDegradedNeverLost) {
   Result<core::CompileResult> CR =
       Compiler.compileFn(Def->Model, Def->Spec, Def->Hints);
   ASSERT_TRUE(bool(CR));
+  // relc-check's acceptance rule: decode the image, and the JSON face is
+  // its rendering.
   cert::ReadError RE;
-  std::optional<cert::Certificate> Cert = cert::Reader::parse(PR.CertJson, &RE);
+  std::optional<cert::Certificate> Cert =
+      cert::BinReader::parse(PR.CertBin, &RE);
   ASSERT_TRUE(Cert.has_value()) << RE.Detail;
+  EXPECT_EQ(cert::Writer::write(*Cert), PR.CertJson);
   cert::CheckResult Check = cert::Rederive::check(
       *Cert, Def->Model, Def->Hints.EntryFacts, Def->Spec, CR->Fn);
   EXPECT_TRUE(Check.Accepted) << Check.Detail;

@@ -241,67 +241,6 @@ TEST(CommandLineTest, TypoSuggestionForRulesFlags) {
 }
 
 //===----------------------------------------------------------------------===//
-// choice(): the enumerated option behind relc-check's --cert-format.
-//===----------------------------------------------------------------------===//
-
-struct ChoiceFixture {
-  std::string Format = "auto";
-  cl::OptionTable T{"relc-check", "overview"};
-  ChoiceFixture() {
-    T.choice({"-cert-format"}, &Format, {"json", "bin", "auto"}, "<fmt>",
-             "certificate format");
-  }
-};
-
-TEST(CommandLineTest, ChoiceAcceptsEachAllowedValueInBothDashForms) {
-  {
-    ChoiceFixture F;
-    EXPECT_EQ(parseArgs(F.T, {"-cert-format", "json"}), cl::ParseResult::Ok);
-    EXPECT_EQ(F.Format, "json");
-  }
-  {
-    ChoiceFixture F;
-    EXPECT_EQ(parseArgs(F.T, {"--cert-format", "bin"}), cl::ParseResult::Ok);
-    EXPECT_EQ(F.Format, "bin");
-  }
-  {
-    ChoiceFixture F;
-    EXPECT_EQ(parseArgs(F.T, {"--cert-format=bin"}), cl::ParseResult::Ok);
-    EXPECT_EQ(F.Format, "bin");
-  }
-  {
-    ChoiceFixture F;
-    EXPECT_EQ(parseArgs(F.T, {"-cert-format=auto"}), cl::ParseResult::Ok);
-    EXPECT_EQ(F.Format, "auto");
-  }
-}
-
-TEST(CommandLineTest, ChoiceDefaultSurvivesEmptyArgv) {
-  ChoiceFixture F;
-  EXPECT_EQ(parseArgs(F.T, {}), cl::ParseResult::Ok);
-  EXPECT_EQ(F.Format, "auto");
-}
-
-TEST(CommandLineTest, ChoiceRejectsUnknownValueNamingTheChoices) {
-  ChoiceFixture F;
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(parseArgs(F.T, {"--cert-format=xml"}), cl::ParseResult::Error);
-  std::string Err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(Err.find("invalid value 'xml'"), std::string::npos);
-  EXPECT_NE(Err.find("'json', 'bin' or 'auto'"), std::string::npos);
-  EXPECT_EQ(F.Format, "auto"); // Untouched on error.
-}
-
-TEST(CommandLineTest, ChoiceFlagTypoIsSuggested) {
-  ChoiceFixture F;
-  EXPECT_EQ(F.T.suggestion("-cert-fromat"), "-cert-format");
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(parseArgs(F.T, {"--cert-fromat=bin"}), cl::ParseResult::Error);
-  std::string Err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(Err.find("did you mean '-cert-format'"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
 // SubcommandSet: the relcd serve|ping|stats|shutdown driver.
 //===----------------------------------------------------------------------===//
 

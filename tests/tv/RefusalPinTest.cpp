@@ -21,6 +21,7 @@
 
 #include "cert/Rederive.h"
 #include "cert/Writer.h"
+#include "codelint/Codelint.h"
 #include "ir/Build.h"
 #include "tv/Tv.h"
 
@@ -131,6 +132,8 @@ TEST(RefusalPinTest, CleanTwinsProveAndTheirCertificatesAreAccepted) {
     ASSERT_TRUE(Rep.proved()) << Rep.str();
     cert::Certificate C = cert::fromTvReport(
         Rep, cert::contentKey(P.Model, {}, P.Spec, P.Code));
+    C.Codelint = cert::codelintRecOf(
+        codelint::analyzeFunction(P.Code, P.Spec, P.Model, {}));
     cert::CheckResult R = cert::Rederive::check(C, P.Model, {}, P.Spec, P.Code);
     EXPECT_TRUE(R.Accepted) << cert::rejectName(R.Why) << ": " << R.Detail;
   }

@@ -81,7 +81,7 @@ TEST(TvSuiteTest, CertificateIsMachineReadable) {
   tv::TvReport Rep = validateProgram(*P, &Key);
   ASSERT_TRUE(Rep.proved()) << Rep.str();
   std::string Cert = cert::Writer::write(cert::fromTvReport(Rep, Key));
-  EXPECT_NE(Cert.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_NE(Cert.find("\"schema_version\": 3"), std::string::npos);
   EXPECT_NE(Cert.find("\"producer\": \"relc-tv\""), std::string::npos);
   EXPECT_NE(Cert.find("\"verdict\": \"proved\""), std::string::npos);
   EXPECT_NE(Cert.find("\"function\": \"crc32\""), std::string::npos);

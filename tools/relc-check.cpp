@@ -6,18 +6,15 @@
 //===----------------------------------------------------------------------===//
 //
 // The auditor for the certificates relc-gen emits: for each benchmark
-// program it recompiles the model, reads the program's certificate from
-// the certificate directory, and has cert::Rederive independently
-// re-derive every recorded hash — content key, per-binding trace, loop
-// summaries (replaying the recorded match witness instead of searching),
-// and output channels. A certificate that is missing, malformed, stale,
-// tampered with, or simply wrong is rejected with a named reason.
-//
-// It is the one tool that audits on-disk certificates. -cert-format
-// picks the face: 'json' reads <name>.tv.json, 'bin' reads
-// <name>.certbin, and 'auto' (the default) reads the binary image when
-// one is present — a present-but-invalid image is a rejection, never a
-// fallback to the JSON beside it.
+// program it recompiles the model, decodes the program's binary image
+// (<name>.certbin), and has cert::Rederive independently re-derive every
+// recorded hash — content key, per-binding trace, loop summaries
+// (replaying the recorded match witness instead of searching), output
+// channels, codelint section. The image is its one input: a <name>.tv.json
+// beside it must be the accepted image's canonical rendering, byte for
+// byte, so no JSON parser is linked. A certificate that is missing,
+// malformed, stale, tampered with, or simply wrong is rejected with a
+// named reason.
 //
 // Deliberately NOT linked against the TV driver (tv/Tv.cpp): the checker
 // must not be able to "ask the producer" — everything it accepts, it
@@ -36,39 +33,53 @@
 #include "support/CommandLine.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 using namespace relc;
 
+/// The JSON face at \p Path, when present, must be the accepted \p Cert's
+/// canonical rendering. Sizes are compared first, so an oversized file is
+/// refused unread.
+static cert::CheckResult checkJsonFace(const cert::Certificate &Cert,
+                                       const std::string &Path) {
+  namespace fs = std::filesystem;
+  std::error_code EC;
+  if (fs::status(Path, EC).type() == fs::file_type::not_found)
+    return cert::CheckResult::accept();
+  std::string Want = cert::Writer::write(Cert), Got(Want.size(), '\0');
+  if (fs::file_size(Path, EC) == Want.size()) {
+    std::ifstream In(Path, std::ios::binary);
+    if (In.read(Got.data(), std::streamsize(Got.size())) && Got == Want)
+      return cert::CheckResult::accept();
+  }
+  return cert::CheckResult::reject(
+      cert::Reject::JsonFaceMismatch,
+      "'" + Path + "' is not the accepted image's canonical rendering");
+}
+
 int main(int argc, char **argv) {
   std::string CertsDir = "generated";
-  std::string CertFormat = "auto";
   bool Quiet = false;
   std::vector<const programs::ProgramDef *> Targets;
-  std::string PosErr;
 
   cl::OptionTable T(
       "relc-check",
       "Independently re-checks the equivalence certificates relc-gen\n"
-      "emitted: recompiles each model, re-derives every certified hash\n"
-      "through the term-graph normalizer, and replays the recorded loop\n"
-      "witnesses — without the translation-validation driver. Rejects\n"
-      "missing, malformed, stale, or tampered certificates with a named\n"
-      "reason.\n"
+      "emitted: decodes each program's binary image (<program>.certbin),\n"
+      "recompiles its model, re-derives every certified hash through the\n"
+      "term-graph normalizer, and replays the recorded loop witnesses —\n"
+      "without the translation-validation driver. A <program>.tv.json\n"
+      "beside the image must be its canonical rendering, byte for byte.\n"
+      "Rejects missing, malformed, stale, or tampered certificates with a\n"
+      "named reason.\n"
       "\n"
       "Exit codes: 0 all certificates accepted; 1 some certificate\n"
       "rejected; 2 usage or infrastructure error.");
   T.str({"-certs"}, &CertsDir, "<dir>",
         "certificate directory (default: generated)");
-  T.choice({"-cert-format"}, &CertFormat, {"json", "bin", "auto"}, "<fmt>",
-           "which certificate to check: 'json' =\n"
-           "<program>.tv.json, 'bin' = <program>.certbin,\n"
-           "'auto' = the binary image when present, else\n"
-           "the JSON (a present-but-invalid image is a\n"
-           "rejection, never a silent fallback)\n"
-           "(default: auto)");
   T.flag({"-q"}, &Quiet, "print only rejections and the final summary");
   T.positional("program", "check only the named programs (default: all)",
                [&Targets](const std::string &A, std::string *Err) {
@@ -108,30 +119,16 @@ int main(int argc, char **argv) {
     }
     core::CompileResult Compiled = R.take();
 
-    // Which face of the certificate to audit. 'auto' prefers the binary
-    // image when one exists — and a present-but-invalid image is a named
-    // rejection, not a fallback: silently re-reading the JSON would let a
-    // tampered image pass unremarked (rejection is never acceptance, and
-    // acceptance of a sibling is not acceptance of the image).
-    std::string JsonPath = CertsDir + "/" + P->Name + ".tv.json";
-    std::string BinPath = CertsDir + "/" + P->Name + cert::kBinExtension;
-    bool UseBin = CertFormat == "bin" ||
-                  (CertFormat == "auto" &&
-                   std::ifstream(BinPath, std::ios::binary).good());
+    std::string Stem = CertsDir + "/" + P->Name;
     cert::ReadError RE;
     std::optional<cert::Certificate> Cert =
-        UseBin ? cert::BinReader::readFile(BinPath, &RE)
-               : cert::Reader::readFile(JsonPath, &RE);
-    if (!Cert) {
-      std::fprintf(stderr, "[%s] certificate REJECTED: %s: %s\n",
-                   P->Name.c_str(), cert::rejectName(RE.Why),
-                   RE.Detail.c_str());
-      ++Rejected;
-      continue;
-    }
-
-    cert::CheckResult CR = cert::Rederive::check(
-        *Cert, P->Model, P->Hints.EntryFacts, P->Spec, Compiled.Fn);
+        cert::BinReader::readFile(Stem + cert::kBinExtension, &RE);
+    cert::CheckResult CR =
+        Cert ? cert::Rederive::check(*Cert, P->Model, P->Hints.EntryFacts,
+                                     P->Spec, Compiled.Fn)
+             : cert::CheckResult::reject(RE.Why, RE.Detail);
+    if (CR.Accepted)
+      CR = checkJsonFace(*Cert, Stem + ".tv.json");
     if (!CR.Accepted) {
       std::fprintf(stderr, "[%s] certificate REJECTED: %s: %s\n",
                    P->Name.c_str(), cert::rejectName(CR.Why),
